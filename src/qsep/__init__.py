@@ -2,7 +2,7 @@
 
 The decoder can only emit normalized sums of product states, so a model
 trained purely on separable states reconstructs them well and fails loudly on
-correlated ones. Reconstruction loss above a threshold flags quantum
+correlated ones. A reconstruction loss above a threshold flags quantum
 correlation (discord, and a fortiori entanglement).
 """
 from .errors import DataFormatError, TrainingDivergedError
@@ -11,7 +11,6 @@ from .separator import (
     SeparatorConfig,
     SeparatorParams,
     baseline_losses,
-    forward,
     forward_batch,
     gradient,
     init_params,
@@ -33,7 +32,6 @@ __all__ = [
     "SeparatorConfig",
     "SeparatorParams",
     "baseline_losses",
-    "forward",
     "forward_batch",
     "gradient",
     "init_params",

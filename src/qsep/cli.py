@@ -16,6 +16,7 @@ import numpy as np
 
 from . import evaluation, training
 from .errors import DataFormatError, TrainingDivergedError
+from .oracles import STATE_CLASSES
 from .separator import (
     SeparatorConfig,
     checkpoint_sha,
@@ -35,10 +36,6 @@ GEN_KINDS = (
     "train",
     "val",
 )
-
-# mixed separable composition for kind=mixed-sep: product/zero-discord/discordant
-# in the same ratio the training mix uses for its mixed portion
-_MIXED_SEP_FRACTIONS = np.array([120.0, 100.0, 120.0]) / 340.0
 
 
 def _resolve(args: argparse.Namespace, config_file: dict, defaults: dict) -> dict:
@@ -117,7 +114,7 @@ def _gen_dataset(kind: str, count: int, seed: int) -> training.Dataset:
         for i in range(count):
             records.append(training.gen_mixed_entangled(rng, toggle=i))
     elif kind == "mixed-sep":
-        n_prod, n_zd, n_disc = training._largest_remainder(count, _MIXED_SEP_FRACTIONS)
+        n_prod, n_zd, n_disc = training._largest_remainder(count, training.MIXED_SEP_FRACTIONS)
         for _ in range(n_prod):
             records.append(training.gen_mixed_product(rng))
         for _ in range(n_zd):
@@ -348,9 +345,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("--data is required")
     ds = training.load_qsd(r["data"])
     training.verify_labels(ds, fraction=float(r["fraction"]), seed=int(r["seed"]))
-    counts = np.bincount(ds.klasses(), minlength=4)
-    names = ("Product", "NonDiscordant", "DiscordantSeparable", "Entangled")
-    breakdown = ", ".join(f"{n}={c}" for n, c in zip(names, counts))
+    counts = np.bincount(ds.klasses(), minlength=len(STATE_CLASSES))
+    breakdown = ", ".join(f"{k.value}={c}" for k, c in zip(STATE_CLASSES, counts))
     print(f"{r['data']}: {len(ds)} records verified ({breakdown})")
     return 0
 

@@ -41,7 +41,7 @@ def eval_losses(
     chunk: int = 512,
     threads: int = 1,
 ) -> np.ndarray:
-    """Reconstruction loss per state. Threading only distributes chunks; the
+    """Model reconstruction loss per state. Threading only distributes chunks; the
     per-chunk math and the output order are identical for any thread count."""
     spans = [(i, min(i + chunk, len(mats))) for i in range(0, len(mats), chunk)]
 

@@ -25,10 +25,26 @@ SIDES = ("small", "large")
 
 
 class StateClass(enum.Enum):
+    """The four classes; their order is the class code (0..3) of `class_code`."""
+
     PRODUCT = "Product"
     NON_DISCORDANT = "NonDiscordant"
     DISCORDANT_SEPARABLE = "DiscordantSeparable"
     ENTANGLED = "Entangled"
+
+
+STATE_CLASSES = tuple(StateClass)
+
+
+def class_code(entangled, product, discordant):
+    """Index into STATE_CLASSES of the class chain: any entangled cut gives
+    Entangled, else a product gives Product, else any discordant check gives
+    DiscordantSeparable, else NonDiscordant.
+
+    Takes Python bools (plain-Python arithmetic, cheap per state) or numpy
+    bool arrays of one shape (vectorized, returns integer codes).
+    """
+    return 3 * entangled + (1 - entangled) * (1 - product) * (1 + discordant)
 
 
 @dataclass
@@ -101,14 +117,7 @@ def classify(rho: np.ndarray, known_separable: bool = False) -> StateLabel:
         not zero_discord_check(rho, cut, side) for cut in CUTS for side in SIDES
     )
     prod = is_product(rho)
-    if any(ent):
-        klass = StateClass.ENTANGLED
-    elif prod:
-        klass = StateClass.PRODUCT
-    elif not any(disc):
-        klass = StateClass.NON_DISCORDANT
-    else:
-        klass = StateClass.DISCORDANT_SEPARABLE
+    klass = STATE_CLASSES[class_code(any(ent), prod, any(disc))]
     return StateLabel(
         entangled_cut=ent, discordant_check=disc, is_product=prod, klass=klass
     )

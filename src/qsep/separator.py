@@ -1,6 +1,6 @@
 """The separator: an autoencoder over 3-qubit density matrices whose decoder
 is a normalized sum of single-qubit Kronecker products, so its output is
-separable by construction. Reconstruction error (mean absolute entry
+separable by construction. The reconstruction error (mean absolute entry
 difference) is the anomaly score: states the encoder cannot route into
 product factors reconstruct poorly.
 
@@ -10,6 +10,12 @@ trace exactly), one kernel per channel for the real part and one for the
 imaginary part, optionally followed by a per-qubit stack of square affine
 layers. Decoder: sum over channels of factor_A (x) factor_B (x) factor_C,
 normalized by its real trace.
+
+The API is batched only: every stage takes a leading batch axis, and one
+state is a batch of one (`forward_batch(rho[None], params, config)`). The
+decoder and the L1 loss are shared by the model and the partial-trace
+baseline, which is the same decoder fed the three single-qubit reductions as
+one channel.
 
 All gradients are derived by hand; finite differences are the test oracle,
 not part of this module.
@@ -25,17 +31,12 @@ import numpy as np
 __all__ = [
     "SeparatorConfig",
     "SeparatorParams",
-    "Reconstruction",
     "init_params",
     "symmetrize_pair_swap",
-    "extract_qubit",
-    "fc_forward",
     "decode",
     "loss",
-    "forward",
     "forward_batch",
     "gradient",
-    "baseline_forward",
     "save_checkpoint",
     "load_checkpoint",
     "export_kernels_csv",
@@ -131,13 +132,6 @@ class SeparatorParams:
         )
 
 
-@dataclass
-class Reconstruction:
-    rho_hat: np.ndarray
-    factors: np.ndarray  # (n_k, 3, 2, 2) complex
-    loss: float
-
-
 def symmetrize_pair_swap(kernels: np.ndarray) -> np.ndarray:
     """Average kernels with their complementary-pair-swapped conjugates."""
     swapped = kernels[..., _PAIR_SWAP, :][..., :, _PAIR_SWAP]
@@ -180,28 +174,24 @@ def init_params(
     return SeparatorParams(kernels=kernels, fc_w=fc_w, fc_b=fc_b)
 
 
+def _check_shapes(params: SeparatorParams, config: SeparatorConfig) -> None:
+    """Raise ValueError unless params carry exactly the arrays config implies."""
+    shapes = {"kernels": (config.n_paths, config.n_k, 2, 4, 4)}
+    if config.use_fc:
+        w = config.fc_width
+        shapes["fc_w"] = (config.n_paths, config.fc_depth, w, w)
+        shapes["fc_b"] = (config.n_paths, config.fc_depth, w)
+    for name in ("kernels", "fc_w", "fc_b"):
+        a, want = getattr(params, name), shapes.get(name)
+        if (a is None) != (want is None):
+            state = "missing" if a is None else "present"
+            raise ValueError(f"{name} is {state} but use_fc is {config.use_fc}")
+        if a is not None and a.shape != want:
+            raise ValueError(f"{name} shape {a.shape} != {want}")
+
+
 def _path_index(config: SeparatorConfig, t: int) -> int:
     return 0 if config.tie_weights else t
-
-
-def _qubit_index(qubit) -> int:
-    if qubit in (0, 1, 2):
-        return int(qubit)
-    try:
-        return QUBIT_PATHS.index(qubit)
-    except ValueError:
-        raise ValueError(f"qubit must be one of {QUBIT_PATHS} or 0..2") from None
-
-
-def extract_qubit(rho: np.ndarray, qubit, kernel: np.ndarray, part: str) -> np.ndarray:
-    """Contract one 4x4 kernel against the re or im part of rho -> 2x2 real."""
-    t = _qubit_index(qubit)
-    if part not in ("re", "im"):
-        raise ValueError("part must be 're' or 'im'")
-    x = rho.real if part == "re" else rho.imag
-    g = _GATHER[t]
-    gathered = x[g[:, None], g[None, :]].reshape(2, 4, 2, 4)
-    return np.einsum("kq,ikjq->ij", np.asarray(kernel), gathered)
 
 
 def _act(z: np.ndarray, kind: str) -> np.ndarray:
@@ -216,36 +206,36 @@ def _act_prime(z: np.ndarray, kind: str) -> np.ndarray:
     return 1.0 - th * th
 
 
-def fc_forward(
-    x: np.ndarray, qubit, params: SeparatorParams, config: SeparatorConfig
-) -> np.ndarray:
-    """Run one qubit path's affine stack; activation on all but the last layer."""
-    if params.fc_w is None:
-        raise ValueError("params carry no FC stack")
-    t = _path_index(config, _qubit_index(qubit))
-    h = np.atleast_2d(np.asarray(x, dtype=float))
-    for l in range(config.fc_depth):
-        z = h @ params.fc_w[t, l].T + params.fc_b[t, l]
-        h = _act(z, config.activation) if l < config.fc_depth - 1 else z
-    return h[0] if np.ndim(x) == 1 else h
+def _decode(factors: np.ndarray):
+    """Unnormalized Kronecker sum with its normalization.
+
+    Returns (rho_hat, s, norm, guard): s is the (B, 8, 8) sum over channels
+    of factor_A (x) factor_B (x) factor_C, norm its real trace, or the channel
+    count where that trace is within TRACE_GUARD of zero (guard).
+    """
+    f = np.asarray(factors)
+    b, n_k = f.shape[:2]
+    s = np.einsum(
+        "bcij,bckl,bcmn->bikmjln", f[:, :, 0], f[:, :, 1], f[:, :, 2]
+    ).reshape(b, 8, 8)
+    tr = np.einsum("bii->b", s).real
+    guard = np.abs(tr) <= TRACE_GUARD
+    norm = np.where(guard, float(n_k), tr)
+    return s / norm[:, None, None], s, norm, guard
 
 
 def decode(factors: np.ndarray) -> np.ndarray:
-    """Sum of per-channel 3-fold Kronecker products, normalized by real trace.
+    """Batched decoder: (B, n_k, 3, 2, 2) complex factors -> (B, 8, 8).
 
-    factors: (n_k, 3, 2, 2) complex. Output is separable by form: it is a
-    (normalized) sum of products whatever the weights are.
+    Each output is separable by form: a normalized sum of products whatever
+    the factors are.
     """
-    f = np.asarray(factors)
-    s = np.einsum("cij,ckl,cmn->ikmjln", f[:, 0], f[:, 1], f[:, 2]).reshape(8, 8)
-    tr = np.trace(s).real
-    n = tr if abs(tr) > TRACE_GUARD else float(f.shape[0])
-    return s / n
+    return _decode(factors)[0]
 
 
-def loss(rho: np.ndarray, rho_hat: np.ndarray) -> float:
-    """Mean absolute entrywise reconstruction error (1/64 sum |diff|)."""
-    return float(np.abs(rho - rho_hat).sum() / 64.0)
+def loss(rhos: np.ndarray, rho_hats: np.ndarray) -> np.ndarray:
+    """Mean absolute entrywise reconstruction error per state, (B,)."""
+    return np.abs(rho_hats - rhos).sum(axis=(1, 2)) / 64.0
 
 
 def _fc_io(conv_re: np.ndarray, conv_im: np.ndarray) -> np.ndarray:
@@ -271,8 +261,10 @@ def forward_batch(
     """Batched forward pass.
 
     Returns (losses, rho_hat, factors) and, when want_cache, the intermediate
-    tensors needed by `gradient`.
+    tensors needed by `gradient`. Raises ValueError when the params do not
+    have the shapes the config implies.
     """
+    _check_shapes(params, config)
     rhos = np.asarray(rhos)
     if rhos.ndim == 2:
         rhos = rhos[None]
@@ -304,16 +296,11 @@ def forward_batch(
             fc_states.append(None)
             fre, fim = conv_re, conv_im
         factors.append(fre + 1j * fim)
-    fa, fb, fc = factors
-    s = np.einsum("bcij,bckl,bcmn->bikmjln", fa, fb, fc).reshape(b, 8, 8)
-    tr = np.einsum("bii->b", s).real
-    guard = np.abs(tr) <= TRACE_GUARD
-    norm = np.where(guard, float(config.n_k), tr)
-    rho_hat = s / norm[:, None, None]
-    diff = rho_hat - rhos
-    losses = np.abs(diff).sum(axis=(1, 2)) / 64.0
+    stacked = np.stack(factors, axis=2)
+    rho_hat, s, norm, guard = _decode(stacked)
+    losses = loss(rhos, rho_hat)
     if not want_cache:
-        return losses, rho_hat, np.stack(factors, axis=2)
+        return losses, rho_hat, stacked
     cache = {
         "rhos": rhos,
         "gathers": gathers,
@@ -324,16 +311,8 @@ def forward_batch(
         "guard": guard,
         "norm": norm,
         "rho_hat": rho_hat,
-        "diff": diff,
     }
-    return losses, rho_hat, np.stack(factors, axis=2), cache
-
-
-def forward(
-    rho: np.ndarray, params: SeparatorParams, config: SeparatorConfig
-) -> Reconstruction:
-    losses, rho_hat, factors = forward_batch(rho, params, config)
-    return Reconstruction(rho_hat=rho_hat[0], factors=factors[0], loss=float(losses[0]))
+    return losses, rho_hat, stacked, cache
 
 
 def gradient(
@@ -346,7 +325,8 @@ def gradient(
     """
     losses, _, _, cache = forward_batch(batch, params, config, want_cache=True)
     b = cache["rhos"].shape[0]
-    diff, s, norm, guard = cache["diff"], cache["s"], cache["norm"], cache["guard"]
+    s, norm, guard = cache["s"], cache["norm"], cache["guard"]
+    diff = cache["rho_hat"] - cache["rhos"]
     absd = np.abs(diff)
     wadj = np.where(absd > 0.0, diff / np.where(absd == 0.0, 1.0, absd), 0.0)
     wadj = wadj / (64.0 * b)
@@ -387,29 +367,19 @@ def gradient(
     return grads, float(losses.mean())
 
 
-def baseline_forward(rho: np.ndarray) -> Reconstruction:
-    """Reconstruction by the product of the three single-qubit reductions."""
-    from .linalg import partial_trace
-
-    parts = [partial_trace(rho, keep=[q]) for q in range(3)]
-    factors = np.stack(parts)[None]  # (1, 3, 2, 2)
-    rho_hat = decode(factors)
-    return Reconstruction(rho_hat=rho_hat, factors=factors, loss=loss(rho, rho_hat))
-
-
 def baseline_losses(rhos: np.ndarray) -> np.ndarray:
+    """Losses of the product of the three single-qubit reductions: the
+    decoder with one channel whose factors are the partial traces."""
     rhos = np.asarray(rhos)
     if rhos.ndim == 2:
         rhos = rhos[None]
     t = rhos.reshape(-1, 2, 2, 2, 2, 2, 2)
-    ra = np.einsum("bikmjkm->bij", t)
-    rb = np.einsum("bkilkjl->bij", t)
-    rc = np.einsum("bkliklj->bij", t)
-    hat = np.einsum("bij,bkl,bmn->bikmjln", ra, rb, rc).reshape(-1, 8, 8)
-    tr = np.einsum("bii->b", hat).real
-    n = np.where(np.abs(tr) <= TRACE_GUARD, 1.0, tr)
-    hat = hat / n[:, None, None]
-    return np.abs(hat - rhos).sum(axis=(1, 2)) / 64.0
+    parts = [
+        np.einsum("bikmjkm->bij", t),
+        np.einsum("bkilkjl->bij", t),
+        np.einsum("bkliklj->bij", t),
+    ]
+    return loss(rhos, decode(np.stack(parts, axis=1)[:, None]))
 
 
 # --- persistence ------------------------------------------------------------
@@ -458,13 +428,11 @@ def load_checkpoint(path: str) -> tuple[SeparatorParams, SeparatorConfig, dict]:
                 fc_w=np.asarray(fc["weights"], dtype=float),
                 fc_b=np.asarray(fc["biases"], dtype=float),
             )
+        _check_shapes(params, config)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"checkpoint {path} is malformed: {exc}") from exc
-    expected = (config.n_paths, config.n_k, 2, 4, 4)
-    if params.kernels.shape != expected:
-        raise DataFormatError(
-            f"checkpoint {path}: kernel shape {params.kernels.shape} != {expected}"
-        )
+    if not all(np.isfinite(a).all() for a in params.arrays()):
+        raise DataFormatError(f"checkpoint {path}: non-finite weights")
     return params, config, payload.get("training_meta", {})
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_eig, kron_all, partial_trace, permute_qubits
+from .linalg import hermitian_eig, kron_all, partial_trace
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -115,26 +115,6 @@ def _haar_unitary_2(rng: np.random.Generator) -> np.ndarray:
     z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def random_pair_classical(rng: np.random.Generator) -> np.ndarray:
-    """Classically correlated qubit pair times an independent mixed qubit.
-
-    A random pair of qubits carries a mixture diagonal in a product basis,
-    supported on m ~ U{2..4} of its four joint outcomes; the leftover qubit
-    is a free single-qubit mixed state. Zero discord by construction.
-    """
-    u = kron_all(_haar_unitary_2(rng) for _ in range(2))
-    m = int(rng.integers(2, 5))
-    support = rng.choice(4, size=m, replace=False)
-    p = np.zeros(4)
-    p[support] = rng.dirichlet(np.ones(m))
-    pair = (u * p) @ u.conj().T
-    rho = np.kron(pair, random_single_qubit_mixed(rng))
-    free = int(rng.integers(3))
-    perm = [0, 1]
-    perm.insert(free, 2)  # new position `free` carries the free qubit
-    return permute_qubits(rho, perm)
 
 
 def antipodal_classical(rng: np.random.Generator, shared_basis: bool = False) -> np.ndarray:

@@ -19,8 +19,10 @@ from .errors import DataFormatError, TrainingDivergedError
 from .oracles import (
     CUTS,
     ENTANGLED_FILTER_TOL,
+    STATE_CLASSES,
     StateClass,
     StateLabel,
+    class_code,
     classify,
     negativity,
 )
@@ -48,7 +50,11 @@ FULL_VAL = 50_000
 FULL_S_PURE_PER_CLASS = 15_000
 FULL_S_MIXED = 65_000
 
-TRAIN_FRACTIONS = np.array([190.0, 120.0, 100.0, 120.0]) / 530.0
+# training mix per 530 records: pure separable, mixed product, zero discord,
+# discordant separable; `qsep gen --kind mixed-sep` draws the mixed part
+TRAIN_COUNTS = np.array([190.0, 120.0, 100.0, 120.0])
+TRAIN_FRACTIONS = TRAIN_COUNTS / TRAIN_COUNTS.sum()
+MIXED_SEP_FRACTIONS = TRAIN_COUNTS[1:] / TRAIN_COUNTS[1:].sum()
 S_MIXED_FRACTIONS = {
     StateClass.PRODUCT: 0.13,
     StateClass.NON_DISCORDANT: 0.27,
@@ -81,36 +87,20 @@ def unpack_label(bits: int) -> StateLabel:
     ent = tuple(bool(bits >> (ENT_SHIFT + i) & 1) for i in range(3))
     disc = tuple(bool(bits >> (DISC_SHIFT + i) & 1) for i in range(6))
     prod = bool(bits & BIT_PRODUCT)
-    if any(ent):
-        klass = StateClass.ENTANGLED
-    elif prod:
-        klass = StateClass.PRODUCT
-    elif not any(disc):
-        klass = StateClass.NON_DISCORDANT
-    else:
-        klass = StateClass.DISCORDANT_SEPARABLE
+    klass = STATE_CLASSES[class_code(any(ent), prod, any(disc))]
     return StateLabel(entangled_cut=ent, discordant_check=disc, is_product=prod, klass=klass)
 
 
 def klass_of_bits(bits: np.ndarray) -> np.ndarray:
-    """Vectorized class codes: 0 Product, 1 NonDiscordant, 2 DiscordantSeparable, 3 Entangled."""
+    """Vectorized class codes, indices into STATE_CLASSES."""
     bits = np.asarray(bits)
-    ent = (bits >> ENT_SHIFT) & 0b111
-    disc = (bits >> DISC_SHIFT) & 0b111111
-    prod = bits & BIT_PRODUCT
-    out = np.full(bits.shape, 2, dtype=np.int8)
-    out[disc == 0] = 1
-    out[prod != 0] = 0
-    out[ent != 0] = 3
-    return out
+    ent = ((bits >> ENT_SHIFT) & 0b111) != 0
+    disc = ((bits >> DISC_SHIFT) & 0b111111) != 0
+    prod = (bits & BIT_PRODUCT) != 0
+    return np.asarray(class_code(ent, prod, disc), dtype=np.int8)
 
 
-KLASS_CODES = {
-    StateClass.PRODUCT: 0,
-    StateClass.NON_DISCORDANT: 1,
-    StateClass.DISCORDANT_SEPARABLE: 2,
-    StateClass.ENTANGLED: 3,
-}
+KLASS_CODES = {k: i for i, k in enumerate(STATE_CLASSES)}
 
 
 @dataclass
@@ -435,12 +425,21 @@ def verify_labels(ds: Dataset, fraction: float = 0.01, seed: int = 0) -> None:
     for i in sample:
         rho = ds.mats[i]
         stored = unpack_label(int(ds.labels[i]))
-        fresh = classify(rho, known_separable=(stored.klass is not StateClass.ENTANGLED))
+        separable = stored.klass is not StateClass.ENTANGLED
+        fresh = classify(rho, known_separable=separable)
         if pack_label(fresh) != int(ds.labels[i]):
             raise DataFormatError(
                 f"label mismatch at record {i}: stored {int(ds.labels[i]):#06x},"
                 f" recomputed {pack_label(fresh):#06x}"
             )
+        # known_separable trusts the stored label, so check the claim itself
+        if separable:
+            neg = max(negativity(rho, c) for c in CUTS)
+            if neg > ENTANGLED_FILTER_TOL:
+                raise DataFormatError(
+                    f"record {i} is stored as separable ({int(ds.labels[i]):#06x})"
+                    f" but has negativity {neg:.3g}"
+                )
 
 
 # --- training loop ----------------------------------------------------------

@@ -45,6 +45,8 @@ from qsep.states import (
 )
 from qsep.training import TrainConfig, build_s_mixed, build_s_pure, build_training_sets, train
 
+pytestmark = pytest.mark.slow
+
 SCALE = 0.04
 DATA_SEED = 123
 S_MIXED_SEED = 125

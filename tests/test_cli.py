@@ -198,6 +198,24 @@ class TestEval:
         )
 
 
+    @pytest.mark.parametrize("tamper", ["fc_vs_use_fc", "fc_shape", "nan_kernel"])
+    def test_invalid_checkpoint_exit_3(self, workdir, ckpt, mixed_qsd, tamper, capsys):
+        payload = json.load(open(ckpt))
+        if tamper == "fc_vs_use_fc":
+            payload["config"]["use_fc"] = False
+        elif tamper == "fc_shape":
+            w = payload["fc"]["weights"]
+            payload["fc"]["weights"] = [[[row[:-1] for row in m] for m in path] for path in w]
+        else:
+            payload["kernels"][0][0][0][0][0] = float("nan")
+        bad = str(workdir / f"bad_{tamper}.json")
+        json.dump(payload, open(bad, "w"))
+        prefix = str(workdir / f"evbad_{tamper}")
+        assert run("eval", "--ckpt", bad, "--data", mixed_qsd, "--out-prefix", prefix) == 3
+        assert "checkpoint" in capsys.readouterr().err
+        assert not os.path.exists(prefix + ".means.csv")
+
+
 class TestMapCmd:
     def test_outputs(self, workdir, ckpt):
         prefix = str(workdir / "map")
@@ -240,6 +258,23 @@ class TestVerifyCmd:
         path = str(workdir / "badlab.qsd")
         _save(path, bad)
         assert run("verify", "--data", path, "--fraction", "0.2") == 3
+
+    def test_entangled_stored_separable_exit_3(self, workdir, product_qsd, capsys):
+        from qsep.oracles import classify
+        from qsep.training import Dataset, pack_label, save_qsd
+
+        ds = load_qsd(product_qsd)
+        ghz = np.zeros((8, 8), dtype=complex)
+        ghz[0, 0] = ghz[0, 7] = ghz[7, 0] = ghz[7, 7] = 0.5
+        label = pack_label(classify(ghz, known_separable=True))
+        bad = Dataset(
+            mats=np.concatenate([ds.mats[:4], ghz[None]]),
+            labels=np.append(ds.labels[:4], label).astype(np.uint16),
+        )
+        path = str(workdir / "ghz_as_sep.qsd")
+        save_qsd(path, bad)
+        assert run("verify", "--data", path, "--fraction", "1.0") == 3
+        assert "stored as separable" in capsys.readouterr().err
 
 
 class TestConfigPrecedence:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qsep.errors import DataFormatError, TrainingDivergedError
-from qsep.oracles import CUTS, StateClass, negativity
+from qsep.oracles import CUTS, StateClass, classify, negativity
 from qsep.separator import SeparatorConfig, load_checkpoint
 from qsep.training import (
     BIT_PRODUCT,
@@ -43,7 +43,6 @@ def small_val():
 
 class TestLabels:
     def test_roundtrip(self):
-        from qsep.oracles import classify
         from qsep.states import ket_to_dm, random_separable_pure
 
         rng = np.random.default_rng(0)
@@ -216,6 +215,19 @@ class TestBuilders:
         bad.labels[:] ^= BIT_ZERO_DISCORD  # flip one bit everywhere
         with pytest.raises(DataFormatError):
             verify_labels(bad, fraction=0.05, seed=1)
+
+    def test_verify_labels_catches_entangled_stored_separable(self, small_train):
+        # GHZ stored with the label it gets when its separability is trusted
+        ghz = np.zeros((8, 8), dtype=complex)
+        ghz[0, 0] = ghz[0, 7] = ghz[7, 0] = ghz[7, 7] = 0.5
+        label = pack_label(classify(ghz, known_separable=True))
+        assert label == 0x0FC2
+        bad = Dataset(
+            mats=np.concatenate([small_train.mats[:9], ghz[None]]),
+            labels=np.append(small_train.labels[:9], label).astype(np.uint16),
+        )
+        with pytest.raises(DataFormatError, match="record 9 is stored as separable"):
+            verify_labels(bad, fraction=1.0)
 
 
 class TestTrainLoop:
