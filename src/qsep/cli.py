@@ -108,8 +108,8 @@ def _gen_dataset(kind: str, count: int, seed: int) -> training.Dataset:
         for _ in range(count):
             records.append(training.gen_mixed_product(rng))
     elif kind == "zd":
-        for _ in range(count):
-            records.append(training.gen_zero_discord(rng))
+        for i in range(count):
+            records.append(training.gen_zero_discord(rng, toggle=i))
     elif kind == "mixed-ent":
         for i in range(count):
             records.append(training.gen_mixed_entangled(rng, toggle=i))
@@ -117,8 +117,8 @@ def _gen_dataset(kind: str, count: int, seed: int) -> training.Dataset:
         n_prod, n_zd, n_disc = training._largest_remainder(count, training.MIXED_SEP_FRACTIONS)
         for _ in range(n_prod):
             records.append(training.gen_mixed_product(rng))
-        for _ in range(n_zd):
-            records.append(training.gen_zero_discord(rng))
+        for i in range(n_zd):
+            records.append(training.gen_zero_discord(rng, toggle=i))
         for i in range(n_disc):
             records.append(training.gen_discordant_separable(rng, toggle=i))
     else:

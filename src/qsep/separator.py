@@ -22,8 +22,11 @@ not part of this module.
 """
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -385,26 +388,66 @@ def baseline_losses(rhos: np.ndarray) -> np.ndarray:
 # --- persistence ------------------------------------------------------------
 
 
+CHECKPOINT_VERSION = 2
+
+
+def _encode_array(a: np.ndarray) -> dict:
+    """v2 array: its shape and the base64 of its little-endian float64 bytes."""
+    raw = np.ascontiguousarray(a, dtype="<f8").tobytes()
+    return {"shape": list(a.shape), "f8": base64.b64encode(raw).decode("ascii")}
+
+
+def _decode_array(obj, version: int) -> np.ndarray:
+    """A writable, C-contiguous native float64 array from a checkpoint entry:
+    a nested list in version 1, an `_encode_array` object in version 2.
+
+    Raises KeyError, TypeError or ValueError (bad base64 included) when the
+    entry is malformed or its byte count disagrees with its shape.
+    """
+    if version == 1:
+        return np.asarray(obj, dtype=float)
+    shape = tuple(obj["shape"])
+    raw = base64.b64decode(obj["f8"], validate=True)
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"{len(raw)} bytes do not hold float64 shape {shape}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+
+
 def save_checkpoint(
     path: str,
     params: SeparatorParams,
     config: SeparatorConfig,
     training_meta: dict | None = None,
 ) -> None:
+    """Write a version-2 checkpoint: one JSON object whose arrays are packed
+    float64 (see `_encode_array`). The file is written beside `path` and
+    renamed over it, so `path` never holds a partial checkpoint."""
     payload = {
-        "format_version": 1,
+        "format_version": CHECKPOINT_VERSION,
         "config": config.to_dict(),
-        "kernels": params.kernels.tolist(),
+        "kernels": _encode_array(params.kernels),
         "fc": None
         if params.fc_w is None
-        else {"weights": params.fc_w.tolist(), "biases": params.fc_b.tolist()},
+        else {"weights": _encode_array(params.fc_w), "biases": _encode_array(params.fc_b)},
         "training_meta": training_meta or {},
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(payload, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path: str) -> tuple[SeparatorParams, SeparatorConfig, dict]:
+    """Read a version-1 or version-2 checkpoint.
+
+    Raises DataFormatError (exit 3) unless the file is valid JSON of a known
+    version whose arrays decode, match the config's shapes and are finite.
+    """
     from .errors import DataFormatError
 
     try:
@@ -412,21 +455,22 @@ def load_checkpoint(path: str) -> tuple[SeparatorParams, SeparatorConfig, dict]:
             payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"checkpoint {path} is not valid JSON: {exc}") from exc
-    if payload.get("format_version") != 1:
-        raise DataFormatError(
-            f"checkpoint {path}: unsupported format_version {payload.get('format_version')!r}"
-        )
+    if not isinstance(payload, dict):
+        raise DataFormatError(f"checkpoint {path} is not a JSON object")
+    version = payload.get("format_version")
+    if version not in (1, CHECKPOINT_VERSION):
+        raise DataFormatError(f"checkpoint {path}: unsupported format_version {version!r}")
     try:
         config = SeparatorConfig(**payload["config"])
-        kernels = np.asarray(payload["kernels"], dtype=float)
+        kernels = _decode_array(payload["kernels"], version)
         fc = payload["fc"]
         if fc is None:
             params = SeparatorParams(kernels=kernels)
         else:
             params = SeparatorParams(
                 kernels=kernels,
-                fc_w=np.asarray(fc["weights"], dtype=float),
-                fc_b=np.asarray(fc["biases"], dtype=float),
+                fc_w=_decode_array(fc["weights"], version),
+                fc_b=_decode_array(fc["biases"], version),
             )
         _check_shapes(params, config)
     except (KeyError, TypeError, ValueError) as exc:

@@ -504,23 +504,48 @@ def mean_loss(
 
 
 class _Adam:
+    # Elements per pass through the scratch pair: six 128 KiB operand slices
+    # stay in cache across the step's dozen elementwise passes, where whole
+    # n_k=48 FC arrays (4.7 MB each) would stream through memory each time.
+    CHUNK = 1 << 14
+
     def __init__(self, arrays: list[np.ndarray], cfg: TrainConfig):
+        if not all(a.flags.c_contiguous for a in arrays):
+            raise ValueError("Adam updates parameters through flat views; they must be C-contiguous")
         self.m = [np.zeros_like(a) for a in arrays]
         self.v = [np.zeros_like(a) for a in arrays]
+        self.scratch = np.empty((2, self.CHUNK))
         self.t = 0
         self.cfg = cfg
 
     def step(self, arrays: list[np.ndarray], grads: list[np.ndarray]) -> None:
+        """m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
+        a -= lr * (m / b1c) / (sqrt(v / b2c) + eps), evaluated in that
+        operation order, so bit-identical to the plain expressions, in place
+        and chunk by chunk so a step allocates no array."""
         c = self.cfg
         self.t += 1
         b1c = 1.0 - c.adam_beta1**self.t
         b2c = 1.0 - c.adam_beta2**self.t
         for a, g, m, v in zip(arrays, grads, self.m, self.v):
-            m *= c.adam_beta1
-            m += (1.0 - c.adam_beta1) * g
-            v *= c.adam_beta2
-            v += (1.0 - c.adam_beta2) * g * g
-            a -= c.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + c.adam_eps)
+            flat = a.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
+            for lo in range(0, a.size, self.CHUNK):
+                ac, gc, mc, vc = (x[lo : lo + self.CHUNK] for x in flat)
+                u, w = self.scratch[:, : ac.size]
+                np.multiply(gc, 1.0 - c.adam_beta1, out=u)
+                mc *= c.adam_beta1
+                mc += u
+                np.multiply(gc, 1.0 - c.adam_beta2, out=u)
+                u *= gc
+                vc *= c.adam_beta2
+                vc += u
+                np.divide(mc, b1c, out=u)
+                u *= c.learning_rate
+                np.divide(vc, b2c, out=w)
+                np.sqrt(w, out=w)
+                w += c.adam_eps
+                u /= w
+                ac -= u
 
 
 class _Sgd:

@@ -5,8 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from qsep.cli import main
-from qsep.separator import load_checkpoint
+from qsep import states
+from qsep.cli import _gen_dataset, main
+from qsep.separator import _encode_array, load_checkpoint
 from qsep.training import load_qsd
 
 
@@ -80,6 +81,21 @@ class TestGen:
         assert run("gen", "--kind", "zd", "--count", "40", "--seed", "9", "--out", p1) == 0
         assert run("gen", "--kind", "zd", "--count", "40", "--seed", "9", "--out", p2) == 0
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+    @pytest.mark.parametrize("kind,count", [("zd", 3), ("mixed-sep", 10)])
+    def test_zero_discord_draws_shared_basis_flavour(self, kind, count, monkeypatch):
+        # every third zero-discord record uses one basis for all qubits,
+        # as in build_separable_set; mixed-sep at count 10 holds 3 of them
+        shared = []
+        draw = states.antipodal_classical
+
+        def recording(rng, shared_basis=False):
+            shared.append(shared_basis)
+            return draw(rng, shared_basis=shared_basis)
+
+        monkeypatch.setattr(states, "antipodal_classical", recording)
+        _gen_dataset(kind, count, 9)
+        assert shared.count(True) == 1
 
     def test_manifest_written(self, product_qsd):
         mf = json.load(open(product_qsd + ".manifest.json"))
@@ -201,13 +217,14 @@ class TestEval:
     @pytest.mark.parametrize("tamper", ["fc_vs_use_fc", "fc_shape", "nan_kernel"])
     def test_invalid_checkpoint_exit_3(self, workdir, ckpt, mixed_qsd, tamper, capsys):
         payload = json.load(open(ckpt))
+        params = load_checkpoint(ckpt)[0]
         if tamper == "fc_vs_use_fc":
             payload["config"]["use_fc"] = False
         elif tamper == "fc_shape":
-            w = payload["fc"]["weights"]
-            payload["fc"]["weights"] = [[[row[:-1] for row in m] for m in path] for path in w]
+            payload["fc"]["weights"] = _encode_array(params.fc_w[..., :-1])
         else:
-            payload["kernels"][0][0][0][0][0] = float("nan")
+            params.kernels[0, 0, 0, 0, 0] = float("nan")
+            payload["kernels"] = _encode_array(params.kernels)
         bad = str(workdir / f"bad_{tamper}.json")
         json.dump(payload, open(bad, "w"))
         prefix = str(workdir / f"evbad_{tamper}")

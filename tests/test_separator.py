@@ -1,4 +1,6 @@
+import base64
 import json
+import os
 from itertools import permutations
 
 import numpy as np
@@ -18,6 +20,8 @@ from qsep.separator import (
     save_checkpoint,
     symmetrize_pair_swap,
 )
+from qsep import separator
+from qsep.separator import _encode_array
 from qsep.states import random_mixed_product
 
 
@@ -404,9 +408,10 @@ class TestCheckpoint:
 
     def test_bad_json(self, tmp_path):
         p = tmp_path / "bad.json"
-        p.write_text("{not json")
-        with pytest.raises(DataFormatError):
-            load_checkpoint(str(p))
+        for text in ("{not json", "[1]"):
+            p.write_text(text)
+            with pytest.raises(DataFormatError):
+                load_checkpoint(str(p))
 
     def test_bad_version(self, tmp_path):
         p = tmp_path / "v9.json"
@@ -421,7 +426,7 @@ class TestCheckpoint:
         path = str(tmp_path / "ok.json")
         save_checkpoint(path, params, cfg)
         payload = json.loads(open(path).read())
-        payload["kernels"] = [[[[0.0] * 4] * 4] * 2] * 2
+        payload["kernels"] = _encode_array(np.zeros((2, 2, 4, 4)))
         p2 = tmp_path / "bad_shape.json"
         p2.write_text(json.dumps(payload))
         with pytest.raises(DataFormatError):
@@ -436,6 +441,9 @@ class TestCheckpoint:
             "fc_b_shape",
             "nan_kernel",
             "inf_fc_weight",
+            "bad_base64",
+            "truncated",
+            "shape_vs_bytes",
         ],
     )
     def test_invalid_weights_rejected(self, tmp_path, tamper):
@@ -450,17 +458,105 @@ class TestCheckpoint:
         elif tamper == "fc_added":
             payload["config"]["use_fc"] = False
         elif tamper == "fc_w_shape":
-            fc["weights"] = params.fc_w[:, :, :8, :8].tolist()
+            fc["weights"] = _encode_array(params.fc_w[:, :, :8, :8])
         elif tamper == "fc_b_shape":
-            fc["biases"] = params.fc_b[:, :1].tolist()
+            fc["biases"] = _encode_array(params.fc_b[:, :1])
         elif tamper == "nan_kernel":
-            payload["kernels"][0][1][0][2][3] = float("nan")
+            k = params.kernels.copy()
+            k[0, 1, 0, 2, 3] = float("nan")
+            payload["kernels"] = _encode_array(k)
+        elif tamper == "inf_fc_weight":
+            w = params.fc_w.copy()
+            w[0, 1, 4, 5] = float("inf")
+            fc["weights"] = _encode_array(w)
+        elif tamper == "bad_base64":
+            # a lenient decoder would skip these and load the same bytes
+            f8 = fc["biases"]["f8"]
+            fc["biases"]["f8"] = f8[:8] + "*?!#" + f8[8:]
+        elif tamper == "truncated":
+            # still valid base64 (whole 4-character groups), 6 bytes short
+            payload["kernels"]["f8"] = payload["kernels"]["f8"][:-8]
         else:
-            fc["weights"][0][1][4][5] = float("inf")
+            # the shape the config wants over the bytes of half the biases
+            fc["biases"]["f8"] = _encode_array(params.fc_b[:, :1])["f8"]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
         with pytest.raises(DataFormatError, match="checkpoint"):
             load_checkpoint(str(bad))
+
+    def test_v2_layout_is_packed_float64(self, tmp_path):
+        cfg = SeparatorConfig(n_k=2, fc_depth=2)
+        params = init_params(cfg, np.random.default_rng(32), noise=0.05)
+        p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+        save_checkpoint(p1, params, cfg, training_meta={"epoch": 1})
+        save_checkpoint(p2, params, cfg, training_meta={"epoch": 1})
+        assert open(p1, "rb").read() == open(p2, "rb").read()
+        payload = json.loads(open(p1).read())
+        assert payload["format_version"] == 2
+        stored = [payload["kernels"], payload["fc"]["weights"], payload["fc"]["biases"]]
+        for entry, want in zip(stored, params.arrays()):
+            got = np.frombuffer(base64.b64decode(entry["f8"]), dtype="<f8")
+            assert entry["shape"] == list(want.shape)
+            assert np.array_equal(got.reshape(want.shape), want)
+        loaded, cfg2, meta = load_checkpoint(p1)
+        assert cfg2 == cfg and meta == {"epoch": 1}
+        for got, want in zip(loaded.arrays(), params.arrays()):
+            assert np.array_equal(got, want)
+            # Adam updates parameters in place
+            assert got.dtype == np.float64 and got.dtype.isnative
+            assert got.flags.writeable and got.flags.c_contiguous
+
+    @pytest.mark.parametrize("use_fc", [True, False])
+    def test_v1_nested_lists_still_load(self, tmp_path, use_fc):
+        cfg = SeparatorConfig(n_k=2, fc_depth=2, use_fc=use_fc)
+        params = init_params(cfg, np.random.default_rng(33), noise=0.05)
+        payload = {
+            "format_version": 1,
+            "config": cfg.to_dict(),
+            "kernels": params.kernels.tolist(),
+            "fc": {"weights": params.fc_w.tolist(), "biases": params.fc_b.tolist()}
+            if use_fc
+            else None,
+            "training_meta": {"epoch": 5},
+        }
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(payload))
+        loaded, cfg2, meta = load_checkpoint(str(path))
+        assert cfg2 == cfg and meta == {"epoch": 5}
+        assert len(loaded.arrays()) == len(params.arrays())
+        for got, want in zip(loaded.arrays(), params.arrays()):
+            assert np.array_equal(got, want)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        cfg = SeparatorConfig(n_k=2, fc_depth=2)
+        rng = np.random.default_rng(34)
+        path = str(tmp_path / "ck.json")
+        save_checkpoint(path, init_params(cfg, rng), cfg, training_meta={"epoch": 1})
+        before = open(path, "rb").read()
+
+        def dump_then_fail(obj, fh):
+            fh.write(json.dumps(obj)[:100])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(separator.json, "dump", dump_then_fail)
+        fresh = str(tmp_path / "fresh.json")
+        for target in (path, fresh):
+            with pytest.raises(OSError, match="disk full"):
+                save_checkpoint(target, init_params(cfg, rng), cfg, training_meta={"epoch": 2})
+        monkeypatch.undo()
+        assert open(path, "rb").read() == before
+        assert load_checkpoint(path)[2] == {"epoch": 1}
+        assert sorted(os.listdir(tmp_path)) == ["ck.json"]
+
+    def test_size_is_packed_not_decimal(self, tmp_path):
+        # base64 of 8 bytes per parameter plus a small JSON frame; decimal
+        # text at 17 significant digits takes about twice this bound
+        cfg = SeparatorConfig(n_k=48)
+        params = init_params(cfg, np.random.default_rng(35))
+        n_params = sum(a.size for a in params.arrays())
+        path = str(tmp_path / "big.json")
+        save_checkpoint(path, params, cfg, training_meta={"epoch": 1})
+        assert os.path.getsize(path) <= 4 / 3 * 8 * n_params + 4096
 
     def test_kernel_csv_export(self, tmp_path):
         from qsep.separator import export_kernels_csv

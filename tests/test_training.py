@@ -13,6 +13,7 @@ from qsep.training import (
     BIT_ZERO_DISCORD,
     Dataset,
     TrainConfig,
+    _Adam,
     build_s_mixed,
     build_s_pure,
     build_separable_set,
@@ -284,6 +285,31 @@ class TestTrainLoop:
         )
         with pytest.raises(TrainingDivergedError):
             train(cfg, SeparatorConfig(n_k=4), small_val, small_val)
+
+    def test_adam_step_matches_plain_formula(self):
+        cfg = TrainConfig()
+        rng = np.random.default_rng(7)
+        # (1, 2, 100, 100) spans two optimizer chunks, the second one partial
+        shapes = [(1, 4, 2, 4, 4), (1, 2, 100, 100), (1, 2, 32)]
+        params = [rng.normal(size=s) for s in shapes]
+        want = [a.copy() for a in params]
+        m = [np.zeros(s) for s in shapes]
+        v = [np.zeros(s) for s in shapes]
+        opt = _Adam(params, cfg)
+        b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+        for t in range(1, 31):
+            grads = [rng.normal(size=s) * 10.0 ** rng.uniform(-6, 1, size=s) for s in shapes]
+            opt.step(params, grads)
+            for a, g, mi, vi in zip(want, grads, m, v):
+                mi *= b1
+                mi += (1.0 - b1) * g
+                vi *= b2
+                vi += (1.0 - b2) * g * g
+                a -= cfg.learning_rate * (mi / (1.0 - b1**t)) / (
+                    np.sqrt(vi / (1.0 - b2**t)) + cfg.adam_eps
+                )
+            for got, ref in zip(params, want):
+                assert np.array_equal(got, ref)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
