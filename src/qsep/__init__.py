@@ -5,8 +5,16 @@ trained purely on separable states reconstructs them well and fails loudly on
 correlated ones. A reconstruction loss above a threshold flags quantum
 correlation (discord, and a fortiori entanglement).
 """
-from .errors import DataFormatError, TrainingDivergedError
-from .oracles import StateClass, StateLabel, classify, negativity, zero_discord_check
+from .errors import DataFormatError, RejectionLimitError, TrainingDivergedError
+from .oracles import (
+    StateClass,
+    StateLabel,
+    StateLabels,
+    classify,
+    label_states,
+    negativity,
+    zero_discord_check,
+)
 from .separator import (
     SeparatorConfig,
     SeparatorParams,
@@ -23,10 +31,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DataFormatError",
+    "RejectionLimitError",
     "TrainingDivergedError",
     "StateClass",
     "StateLabel",
+    "StateLabels",
     "classify",
+    "label_states",
     "negativity",
     "zero_discord_check",
     "SeparatorConfig",

@@ -3,7 +3,8 @@
 Subcommands: gen, train, eval, map, kernels, verify. Every run writes a
 manifest JSON echoing the fully resolved configuration. Flag precedence is
 CLI > config file (--config, JSON object) > built-in defaults. Exit codes:
-0 success, 2 usage error, 3 data format error, 4 training divergence.
+0 success, 2 usage error, 3 data format error, 4 training divergence,
+5 a dataset generator hit its rejection-sampling cap.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import sys
 import numpy as np
 
 from . import evaluation, training
-from .errors import DataFormatError, TrainingDivergedError
+from .errors import DataFormatError, RejectionLimitError, TrainingDivergedError
 from .oracles import STATE_CLASSES
 from .separator import (
     SeparatorConfig,
@@ -438,6 +439,9 @@ def main(argv: list[str] | None = None) -> int:
     except TrainingDivergedError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return 4
+    except RejectionLimitError as exc:
+        print(f"generation failed: {exc}", file=sys.stderr)
+        return 5
     except (ValueError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,3 +7,7 @@ class DataFormatError(Exception):
 
 class TrainingDivergedError(Exception):
     """Loss or parameters became non-finite during training (CLI exit code 4)."""
+
+
+class RejectionLimitError(Exception):
+    """A rejection sampler drew its cap of states without accepting one (CLI exit code 5)."""

@@ -12,15 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracles import classify
+# classify and map_state are unused here: perfbench/layers.py wraps them by attribute
+from .oracles import STATE_CLASSES, classify, label_states  # noqa: F401
 from .separator import SeparatorConfig, SeparatorParams, baseline_losses, forward_batch
-from .states import map_point, map_state
-from .training import (
-    BIT_SEPARABLE,
-    BIT_ZERO_DISCORD,
-    ENT_SHIFT,
-    KLASS_CODES,
-)
+from .states import map_point, map_state, map_states  # noqa: F401
+from .training import BIT_SEPARABLE, BIT_ZERO_DISCORD, ENT_SHIFT
 
 DEFAULT_THRESHOLDS = 400
 THRESHOLD_RANGE = (1e-5, 1.0)
@@ -212,7 +208,7 @@ class MapRender:
     vs: np.ndarray  # (G,)
     losses: np.ndarray  # (G, G) model loss, row = v index, col = u index
     baseline: np.ndarray  # (G, G)
-    klasses: np.ndarray  # (G, G) int8 codes per KLASS_CODES
+    klasses: np.ndarray  # (G, G) int8 class codes, indices into STATE_CLASSES
     klass_names: np.ndarray  # (G, G) object array of class value strings
 
 
@@ -224,21 +220,20 @@ def render_map(
     threads: int = 1,
 ) -> MapRender:
     """Evaluate the model and the factored-reduction baseline over the
-    two-parameter state family on a regular grid of [0, 2] x [0, 2]."""
+    two-parameter state family on a regular grid of [0, 2] x [0, 2], and
+    label each state with the oracle, `chunk` states per oracle pass."""
     if grid < 11:
         raise ValueError("grid must be >= 11")
     us = np.linspace(0.0, 2.0, grid)
     vs = np.linspace(0.0, 2.0, grid)
     pts = [map_point(u, v) for v in vs for u in us]
-    mats = np.stack([map_state(p) for p in pts])
+    mats = map_states(pts)
     losses = eval_losses(mats, params, config, chunk=chunk, threads=threads)
     base = baseline_losses(mats)
-    names = np.empty(len(pts), dtype=object)
-    codes = np.empty(len(pts), dtype=np.int8)
-    for i, (pt, rho) in enumerate(zip(pts, mats)):
-        label = classify(rho, known_separable=(pt.c_boost == 0.0))
-        names[i] = label.klass.value
-        codes[i] = KLASS_CODES[label.klass]
+    # unboosted cells are two-term mixtures of product kets: separable by construction
+    known_separable = np.array([pt.c_boost == 0.0 for pt in pts])
+    codes = label_states(mats, known_separable, chunk=chunk).klass
+    names = np.array([k.value for k in STATE_CLASSES], dtype=object)[codes]
     g = (grid, grid)
     return MapRender(
         us=us,

@@ -7,6 +7,7 @@ sampling is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -219,14 +220,20 @@ def reduce_from_larger(n_src: int, rng: np.random.Generator) -> np.ndarray:
     return partial_trace(ket_to_dm(haar_random_pure(n_src, rng)), keep=[0, 1, 2])
 
 
-def boost_largest_eigenvalue(rho: np.ndarray, c: float) -> np.ndarray:
-    """Add weight c to the projector on the top eigenvector, renormalize."""
-    if c < 0.0:
+def boost_largest_eigenvalue(rho: np.ndarray, c) -> np.ndarray:
+    """Add weight c to the projector on the top eigenvector, renormalize.
+
+    Also takes a stack (N, d, d) with one weight per state: one stacked
+    eigendecomposition, and per state the arithmetic of the single case.
+    """
+    c = np.asarray(c, dtype=float)
+    if np.any(c < 0.0):
         raise ValueError("boost weight must be >= 0")
     w, v = hermitian_eig(rho)
-    top = v[:, -1]
-    out = rho + c * np.outer(top, top.conj())
-    return out / (w.sum() + c)
+    top = v[..., -1]
+    c = c[..., None, None]
+    out = rho + c * (top[..., :, None] * top.conj()[..., None, :])
+    return out / (w.sum(axis=-1)[..., None, None] + c)
 
 
 # --- 2D map family ---------------------------------------------------------
@@ -270,18 +277,44 @@ def map_point(u: float, v: float) -> MapPoint:
     return MapPoint(u=u, v=v, p=p, a_param=a, phi=phi, c_boost=c)
 
 
+def _kron3(psi: np.ndarray) -> np.ndarray:
+    """(N, 8) kets psi x psi x psi of (N, 2) kets, by the products np.kron forms."""
+    n = len(psi)
+    k = (psi[:, :, None] * psi[:, None, :]).reshape(n, 4)
+    return (k[:, :, None] * psi[:, None, :]).reshape(n, 8)
+
+
+def map_states(pts: Sequence[MapPoint]) -> np.ndarray:
+    """(N, 8, 8) density matrices for map points, all in one pass.
+
+    Each state is p |k1><k1| + (1-p) |k2><k2| for the product kets
+    k1 = psi1^(x3), k2 = psi2^(x3), then `boost_largest_eigenvalue` where
+    c_boost > 0 (one stacked eigendecomposition over those states). Each
+    element goes through the per-point operations in the per-point order,
+    so a state is bit-identical whatever else is in the call: where the top
+    eigenvalue is degenerate before the boost, a last-bit change can pick
+    another eigenvector.
+    """
+    a = np.array([pt.a_param for pt in pts], dtype=float)
+    phi = np.array([pt.phi for pt in pts], dtype=float)
+    p = np.array([pt.p for pt in pts], dtype=float)[:, None, None]
+    c = np.array([pt.c_boost for pt in pts], dtype=float)
+    s = np.sqrt(1.0 - a * a)
+    psi1 = np.stack([a, s], axis=1).astype(complex)
+    psi2 = np.stack([np.exp(-0.5j * phi) * s, -a * np.exp(0.5j * phi)], axis=1)
+    k1, k2 = _kron3(psi1), _kron3(psi2)
+    dm1 = k1[:, :, None] * k1.conj()[:, None, :]
+    dm2 = k2[:, :, None] * k2.conj()[:, None, :]
+    rho = p * dm1 + (1.0 - p) * dm2
+    boost = np.flatnonzero(c > 0.0)
+    if len(boost):
+        rho[boost] = boost_largest_eigenvalue(rho[boost], c[boost])
+    return rho
+
+
 def map_state(pt: MapPoint) -> np.ndarray:
     """Density matrix for a map point."""
-    a, phi = pt.a_param, pt.phi
-    s = np.sqrt(1.0 - a * a)
-    psi1 = np.array([a, s], dtype=complex)
-    psi2 = np.array([np.exp(-0.5j * phi) * s, -a * np.exp(0.5j * phi)])
-    k1 = kron_all([psi1] * 3)
-    k2 = kron_all([psi2] * 3)
-    rho = pt.p * ket_to_dm(k1) + (1.0 - pt.p) * ket_to_dm(k2)
-    if pt.c_boost > 0.0:
-        rho = boost_largest_eigenvalue(rho, pt.c_boost)
-    return rho
+    return map_states([pt])[0]
 
 
 def purity(rho: np.ndarray) -> float:

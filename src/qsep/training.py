@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import states
-from .errors import DataFormatError, TrainingDivergedError
+from .errors import DataFormatError, RejectionLimitError, TrainingDivergedError
 from .oracles import (
     CUTS,
     ENTANGLED_FILTER_TOL,
@@ -24,6 +24,7 @@ from .oracles import (
     StateLabel,
     class_code,
     classify,
+    label_states,
     negativity,
 )
 from .separator import (
@@ -64,6 +65,10 @@ S_MIXED_FRACTIONS = {
 
 SUBSETS = ("Pure", "Prod", "ZD", "Sep", "NPS")
 PURITY_TOL = 1e-8
+# Draws a rejection-sampling generator makes for one record before it gives
+# up. Each family accepts nearly every draw (2000-3000 records per family all
+# took one), so reaching the cap means a broken state source, not bad luck.
+MAX_DRAWS = 1000
 
 
 def pack_label(label: StateLabel) -> int:
@@ -195,6 +200,12 @@ def _record(rho: np.ndarray, label: StateLabel) -> tuple[np.ndarray, int]:
     return rho, pack_label(label)
 
 
+def _draws_exhausted(family: str) -> RejectionLimitError:
+    return RejectionLimitError(
+        f"{family}: no acceptable state in {MAX_DRAWS} draws (training.MAX_DRAWS)"
+    )
+
+
 def gen_pure_separable(rng: np.random.Generator, toggle: int = 0):
     """Pure product state: Haar product ket or non-entangling circuit."""
     if toggle % 2 == 0:
@@ -223,25 +234,27 @@ def gen_zero_discord(rng: np.random.Generator, toggle: int = 0):
     constructions dilutes the signal below what a short training run can
     amplify.
     """
-    while True:
+    for _ in range(MAX_DRAWS):
         rho = states.antipodal_classical(rng, shared_basis=toggle % 3 == 2)
         label = classify(rho, known_separable=True)
         if label.klass is StateClass.NON_DISCORDANT:
             return _record(rho, label)
+    raise _draws_exhausted("zero_discord")
 
 
 def gen_discordant_separable(rng: np.random.Generator, toggle: int = 0):
     """Separable but discordant: Dirichlet mixtures of random product kets."""
     del toggle  # single flavor; kept for signature parity with the other gens
-    while True:
+    for _ in range(MAX_DRAWS):
         rho = states.random_product_mixture(rng)
         label = classify(rho, known_separable=True)
         if label.klass is StateClass.DISCORDANT_SEPARABLE:
             return _record(rho, label)
+    raise _draws_exhausted("discordant_separable")
 
 
 def gen_pure_entangled(rng: np.random.Generator, toggle: int = 0):
-    while True:
+    for _ in range(MAX_DRAWS):
         if toggle % 2 == 0:
             psi = states.haar_random_pure(3, rng)
         else:
@@ -249,6 +262,7 @@ def gen_pure_entangled(rng: np.random.Generator, toggle: int = 0):
         rho = states.ket_to_dm(psi)
         if max(negativity(rho, c) for c in CUTS) > ENTANGLED_FILTER_TOL:
             return _record(rho, classify(rho))
+    raise _draws_exhausted("pure_entangled")
 
 
 def _near_boundary_entangled(rng: np.random.Generator) -> np.ndarray | None:
@@ -285,7 +299,7 @@ def gen_mixed_entangled(rng: np.random.Generator, toggle: int = 0):
     boundary; the rest mix entangled kets or trace a larger Haar state.
     Accepted only when some cut's negativity clears the filter.
     """
-    while True:
+    for _ in range(MAX_DRAWS):
         if toggle % 4 < 2:
             rho = _near_boundary_entangled(rng)
             if rho is None:
@@ -306,6 +320,7 @@ def gen_mixed_entangled(rng: np.random.Generator, toggle: int = 0):
             if label.klass is StateClass.ENTANGLED:
                 return _record(rho, label)
         toggle += 4  # keep the source type while retrying
+    raise _draws_exhausted("mixed_entangled")
 
 
 def _largest_remainder(total: int, fractions: np.ndarray) -> np.ndarray:
@@ -415,31 +430,39 @@ def subset_filter(ds: Dataset, subset: str) -> Dataset:
 
 
 def verify_labels(ds: Dataset, fraction: float = 0.01, seed: int = 0) -> None:
-    """Re-derive labels for a sample; raise DataFormatError on any mismatch."""
+    """Re-derive labels for a sample; raise DataFormatError on any mismatch.
+
+    The sample is labelled in one `label_states` pass. Records stored as
+    separable are relabelled trusting that, and their negativity must also
+    stay within ENTANGLED_FILTER_TOL on every cut. Errors name the first
+    failing record in sample order.
+    """
     n = len(ds)
     if n == 0:
         return
     rng = np.random.default_rng(seed)
     k = max(1, int(round(fraction * n)))
     sample = rng.choice(n, size=min(k, n), replace=False)
-    for i in sample:
-        rho = ds.mats[i]
-        stored = unpack_label(int(ds.labels[i]))
-        separable = stored.klass is not StateClass.ENTANGLED
-        fresh = classify(rho, known_separable=separable)
-        if pack_label(fresh) != int(ds.labels[i]):
+    bits = ds.labels[sample]
+    separable = klass_of_bits(bits) != KLASS_CODES[StateClass.ENTANGLED]
+    # nothing trusted here: every negativity is computed for the check below
+    labels = label_states(ds.mats[sample])
+    fresh = labels.assuming_separable(separable)
+    max_neg = labels.negativity.max(axis=1)
+    for j, i in enumerate(sample):
+        stored = int(bits[j])
+        unpack_label(stored)  # rejects reserved bits
+        recomputed = pack_label(fresh.row(j))
+        if recomputed != stored:
             raise DataFormatError(
-                f"label mismatch at record {i}: stored {int(ds.labels[i]):#06x},"
-                f" recomputed {pack_label(fresh):#06x}"
+                f"label mismatch at record {i}: stored {stored:#06x},"
+                f" recomputed {recomputed:#06x}"
             )
-        # known_separable trusts the stored label, so check the claim itself
-        if separable:
-            neg = max(negativity(rho, c) for c in CUTS)
-            if neg > ENTANGLED_FILTER_TOL:
-                raise DataFormatError(
-                    f"record {i} is stored as separable ({int(ds.labels[i]):#06x})"
-                    f" but has negativity {neg:.3g}"
-                )
+        if separable[j] and max_neg[j] > ENTANGLED_FILTER_TOL:
+            raise DataFormatError(
+                f"record {i} is stored as separable ({stored:#06x})"
+                f" but has negativity {max_neg[j]:.3g}"
+            )
 
 
 # --- training loop ----------------------------------------------------------

@@ -1,11 +1,12 @@
 """End-to-end command-line interface tests (all through main())."""
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qsep import states
+from qsep import states, training
 from qsep.cli import _gen_dataset, main
 from qsep.separator import _encode_array, load_checkpoint
 from qsep.training import load_qsd
@@ -80,7 +81,7 @@ class TestGen:
         p1, p2 = str(workdir / "r1.qsd"), str(workdir / "r2.qsd")
         assert run("gen", "--kind", "zd", "--count", "40", "--seed", "9", "--out", p1) == 0
         assert run("gen", "--kind", "zd", "--count", "40", "--seed", "9", "--out", p2) == 0
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     @pytest.mark.parametrize("kind,count", [("zd", 3), ("mixed-sep", 10)])
     def test_zero_discord_draws_shared_basis_flavour(self, kind, count, monkeypatch):
@@ -98,7 +99,7 @@ class TestGen:
         assert shared.count(True) == 1
 
     def test_manifest_written(self, product_qsd):
-        mf = json.load(open(product_qsd + ".manifest.json"))
+        mf = json.loads(Path(product_qsd + ".manifest.json").read_text())
         assert mf["command"] == "gen"
         assert mf["records"] == 100
         assert mf["seed"] == 1
@@ -108,8 +109,20 @@ class TestGen:
         assert run(
             "gen", "--kind", "product", "--count", "10", "--seed", "1", "--out", path, "--csv"
         ) == 0
-        lines = open(path + ".csv").read().strip().split("\n")
+        lines = Path(path + ".csv").read_text().strip().split("\n")
         assert len(lines) == 11
+
+    def test_rejection_cap_exit_5(self, workdir, monkeypatch, capsys):
+        # a zero-discord source that only yields product states is never accepted
+        monkeypatch.setattr(states, "antipodal_classical", lambda rng, shared_basis=False:
+                            np.eye(8, dtype=complex) / 8)
+        monkeypatch.setattr(training, "MAX_DRAWS", 4)
+        path = str(workdir / "capped.qsd")
+        assert run("gen", "--kind", "zd", "--count", "3", "--out", path) == 5
+        err = capsys.readouterr().err
+        assert "zero_discord: no acceptable state in 4 draws" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(path)
 
     def test_bad_kind_rejected(self, workdir, capsys):
         code = run("gen", "--kind", "product", "--count", "0", "--seed", "1",
@@ -125,14 +138,14 @@ class TestTrain:
         assert "epoch" in meta and "val_loss" in meta
 
     def test_losses_csv(self, ckpt):
-        lines = open(ckpt + ".losses.csv").read().strip().split("\n")
+        lines = Path(ckpt + ".losses.csv").read_text().strip().split("\n")
         assert lines[0].startswith("# seed=5 checkpoint=")
         assert lines[1] == "epoch,train_loss,val_loss"
         assert lines[2].split(",")[0] == "0" and lines[2].split(",")[1] == "nan"
         assert len(lines) == 3 + 1  # epoch 0 + 1 trained epoch
 
     def test_manifest(self, ckpt):
-        mf = json.load(open(ckpt + ".manifest.json"))
+        mf = json.loads(Path(ckpt + ".manifest.json").read_text())
         assert mf["command"] == "train"
         assert mf["best_epoch"] == 1
         assert len(mf["checkpoint_sha"]) == 12
@@ -146,9 +159,9 @@ class TestTrain:
 
     def test_corrupt_dataset_exit_3(self, workdir, product_qsd):
         bad = str(workdir / "bad.qsd")
-        raw = bytearray(open(product_qsd, "rb").read())
+        raw = bytearray(Path(product_qsd).read_bytes())
         raw[0:4] = b"XXXX"
-        open(bad, "wb").write(bytes(raw))
+        Path(bad).write_bytes(bytes(raw))
         out = str(workdir / "never2.json")
         code = run("train", "--train", bad, "--val", bad, "--out", out, "--epochs", "1")
         assert code == 3
@@ -160,12 +173,12 @@ class TestEval:
         prefix = str(workdir / "ev")
         code = run("eval", "--ckpt", ckpt, "--data", mixed_qsd, "--out-prefix", prefix)
         assert code == 0
-        sweep_lines = open(prefix + ".sweep.csv").read().strip().split("\n")
+        sweep_lines = Path(prefix + ".sweep.csv").read_text().strip().split("\n")
         assert sweep_lines[1] == "tau,tp,fp,tn,fn,pr,rc,ba"
         assert len(sweep_lines) == 2 + 400
-        means_lines = open(prefix + ".means.csv").read().strip().split("\n")
+        means_lines = Path(prefix + ".means.csv").read_text().strip().split("\n")
         assert means_lines[1] == "class,count,mean_loss"
-        mf = json.load(open(prefix + ".manifest.json"))
+        mf = json.loads(Path(prefix + ".manifest.json").read_text())
         assert 0.0 <= mf["best_balanced_accuracy"] <= 1.0
 
     def test_deterministic_rerun(self, workdir, ckpt, mixed_qsd):
@@ -173,9 +186,9 @@ class TestEval:
         assert run("eval", "--ckpt", ckpt, "--data", mixed_qsd, "--out-prefix", p1) == 0
         assert run("eval", "--ckpt", ckpt, "--data", mixed_qsd, "--out-prefix", p2) == 0
         for ext in (".sweep.csv", ".means.csv"):
-            assert open(p1 + ext).read() == open(p2 + ext).read()
-        m1 = json.load(open(p1 + ".manifest.json"))
-        m2 = json.load(open(p2 + ".manifest.json"))
+            assert Path(p1 + ext).read_text() == Path(p2 + ext).read_text()
+        m1 = json.loads(Path(p1 + ".manifest.json").read_text())
+        m2 = json.loads(Path(p2 + ".manifest.json").read_text())
         m1.pop("out_prefix"), m2.pop("out_prefix")
         assert m1 == m2  # identical apart from where the caller pointed it
 
@@ -184,7 +197,7 @@ class TestEval:
         code = run("eval", "--ckpt", ckpt, "--data", mixed_qsd,
                    "--out-prefix", prefix, "--tau", "0.01")
         assert code == 0
-        lines = open(prefix + ".confusion.csv").read().strip().split("\n")
+        lines = Path(prefix + ".confusion.csv").read_text().strip().split("\n")
         assert lines[1] == ",pred_negative,pred_positive"
         assert lines[2].startswith("true_negative,")
         assert lines[3].startswith("true_positive,")
@@ -196,7 +209,8 @@ class TestEval:
         code = run("eval", "--data", mixed_qsd, "--model", "baseline",
                    "--out-prefix", prefix, "--label", "entanglement")
         assert code == 0
-        assert open(prefix + ".sweep.csv").readline().strip().endswith("checkpoint=baseline")
+        first = Path(prefix + ".sweep.csv").read_text().splitlines()[0]
+        assert first.strip().endswith("checkpoint=baseline")
 
     def test_single_class_exit_2(self, workdir, product_qsd):
         prefix = str(workdir / "evs")
@@ -210,13 +224,13 @@ class TestEval:
         assert run("eval", "--ckpt", ckpt, "--data", mixed_qsd, "--out-prefix", p1) == 0
         base = str(workdir / "d1")
         assert (
-            open(p1 + ".sweep.csv").read() == open(base + ".sweep.csv").read()
+            Path(p1 + ".sweep.csv").read_text() == Path(base + ".sweep.csv").read_text()
         )
 
 
     @pytest.mark.parametrize("tamper", ["fc_vs_use_fc", "fc_shape", "nan_kernel"])
     def test_invalid_checkpoint_exit_3(self, workdir, ckpt, mixed_qsd, tamper, capsys):
-        payload = json.load(open(ckpt))
+        payload = json.loads(Path(ckpt).read_text())
         params = load_checkpoint(ckpt)[0]
         if tamper == "fc_vs_use_fc":
             payload["config"]["use_fc"] = False
@@ -226,7 +240,7 @@ class TestEval:
             params.kernels[0, 0, 0, 0, 0] = float("nan")
             payload["kernels"] = _encode_array(params.kernels)
         bad = str(workdir / f"bad_{tamper}.json")
-        json.dump(payload, open(bad, "w"))
+        Path(bad).write_text(json.dumps(payload))
         prefix = str(workdir / f"evbad_{tamper}")
         assert run("eval", "--ckpt", bad, "--data", mixed_qsd, "--out-prefix", prefix) == 3
         assert "checkpoint" in capsys.readouterr().err
@@ -240,11 +254,11 @@ class TestMapCmd:
         assert code == 0
         for suffix in (".model.csv", ".model.pgm", ".baseline.csv", ".baseline.pgm"):
             assert os.path.exists(prefix + suffix)
-        lines = open(prefix + ".model.csv").read().strip().split("\n")
+        lines = Path(prefix + ".model.csv").read_text().strip().split("\n")
         assert len(lines) == 2 + 121
         klasses = {ln.split(",")[3] for ln in lines[2:]}
         assert "Product" in klasses and len(klasses) >= 3
-        pgm = [ln for ln in open(prefix + ".model.pgm").read().split("\n")
+        pgm = [ln for ln in Path(prefix + ".model.pgm").read_text().split("\n")
                if ln and not ln.startswith("#")]
         assert pgm[0] == "P2" and pgm[1] == "11 11"
 
@@ -253,7 +267,7 @@ class TestKernelsCmd:
     def test_export(self, workdir, ckpt):
         out = str(workdir / "kernels.csv")
         assert run("kernels", "--ckpt", ckpt, "--out", out) == 0
-        lines = open(out).read().strip().split("\n")
+        lines = Path(out).read_text().strip().split("\n")
         assert lines[0] == "path,channel,part,k0,k1,k2,k3"
         # tied model: 1 path x 6 channels x 2 parts x 4 rows
         assert len(lines) == 1 + 1 * 6 * 2 * 4
@@ -297,19 +311,19 @@ class TestVerifyCmd:
 class TestConfigPrecedence:
     def test_cli_beats_config_beats_default(self, workdir):
         cfgp = str(workdir / "cfg.json")
-        json.dump({"count": 7, "kind": "product", "seed": 30}, open(cfgp, "w"))
+        Path(cfgp).write_text(json.dumps({"count": 7, "kind": "product", "seed": 30}))
         out = str(workdir / "cfgd.qsd")
         # kind/count from config file, seed overridden on the CLI
         assert run("gen", "--config", cfgp, "--out", out, "--seed", "31") == 0
         ds = load_qsd(out)
         assert len(ds) == 7
-        mf = json.load(open(out + ".manifest.json"))
+        mf = json.loads(Path(out + ".manifest.json").read_text())
         assert mf["seed"] == 31
         assert mf["kind"] == "product"
 
     def test_bad_config_file_exit_3(self, workdir):
         cfgp = str(workdir / "bad.json")
-        open(cfgp, "w").write("[1, 2, 3]")
+        Path(cfgp).write_text("[1, 2, 3]")
         out = str(workdir / "cfgbad.qsd")
         code = run("gen", "--config", cfgp, "--kind", "product",
                    "--count", "5", "--out", out)

@@ -1,4 +1,6 @@
 """Threshold sweeps, confusion matrices, class means, and the 2D map."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -37,7 +39,7 @@ def ident_model():
 
 
 def read_pgm(path):
-    lines = [ln for ln in open(path).read().split("\n") if ln and not ln.startswith("#")]
+    lines = [ln for ln in Path(path).read_text().split("\n") if ln and not ln.startswith("#")]
     tokens = " ".join(lines).split()
     assert tokens[0] == "P2"
     w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
@@ -236,6 +238,14 @@ class TestMap:
         assert 0.0 <= best <= 1.0
         assert tau > 0
 
+    @pytest.mark.parametrize("chunk", [7, 21 * 21 + 1])
+    def test_chunk_invariant(self, ident_model, small_map, chunk):
+        # small_map is rendered with the default chunk, 512
+        params, cfg = ident_model
+        render = render_map(params, cfg, grid=21, chunk=chunk)
+        for field in ("losses", "baseline", "klasses", "klass_names"):
+            assert np.array_equal(getattr(render, field), getattr(small_map, field)), field
+
     def test_oracle_iou_perfect_for_oracle_values(self, small_map):
         # a loss field that is 0 exactly on the non-discordant region and 1
         # elsewhere gives IoU 1 at any threshold in between
@@ -250,7 +260,7 @@ class TestCsvWriters:
         sw = sweep(losses, positive, thresholds=np.array([0.01, 0.1]))
         p = str(tmp_path / "sweep.csv")
         write_sweep_csv(p, sw, seed=7, checkpoint="abc123")
-        lines = open(p).read().strip().split("\n")
+        lines = Path(p).read_text().strip().split("\n")
         assert lines[0] == "# seed=7 checkpoint=abc123"
         assert lines[1] == "tau,tp,fp,tn,fn,pr,rc,ba"
         assert len(lines) == 2 + 2
@@ -260,7 +270,7 @@ class TestCsvWriters:
         write_class_means_csv(
             p, np.ones(len(mixed_set)), mixed_set.labels, seed=7, checkpoint="abc123"
         )
-        lines = open(p).read().strip().split("\n")
+        lines = Path(p).read_text().strip().split("\n")
         assert lines[0] == "# seed=7 checkpoint=abc123"
         assert lines[1] == "class,count,mean_loss"
         assert [ln.split(",")[0] for ln in lines[2:]] == [
@@ -275,7 +285,7 @@ class TestCsvWriters:
         render = render_map(params, cfg, grid=11)
         pc = str(tmp_path / "map.csv")
         write_map_csv(pc, render, render.losses, seed=3, checkpoint="xyz")
-        lines = open(pc).read().strip().split("\n")
+        lines = Path(pc).read_text().strip().split("\n")
         assert lines[0] == "# seed=3 checkpoint=xyz"
         assert lines[1] == "u,v,loss,klass"
         assert len(lines) == 2 + 11 * 11

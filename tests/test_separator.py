@@ -2,6 +2,7 @@ import base64
 import json
 import os
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -425,7 +426,7 @@ class TestCheckpoint:
         params = init_params(cfg, rng, noise=0.0)
         path = str(tmp_path / "ok.json")
         save_checkpoint(path, params, cfg)
-        payload = json.loads(open(path).read())
+        payload = json.loads(Path(path).read_text())
         payload["kernels"] = _encode_array(np.zeros((2, 2, 4, 4)))
         p2 = tmp_path / "bad_shape.json"
         p2.write_text(json.dumps(payload))
@@ -451,7 +452,7 @@ class TestCheckpoint:
         params = init_params(cfg, np.random.default_rng(31), noise=0.05)
         path = str(tmp_path / "ok.json")
         save_checkpoint(path, params, cfg)
-        payload = json.loads(open(path).read())
+        payload = json.loads(Path(path).read_text())
         fc = payload["fc"]
         if tamper == "fc_dropped":
             payload["fc"] = None
@@ -490,8 +491,8 @@ class TestCheckpoint:
         p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         save_checkpoint(p1, params, cfg, training_meta={"epoch": 1})
         save_checkpoint(p2, params, cfg, training_meta={"epoch": 1})
-        assert open(p1, "rb").read() == open(p2, "rb").read()
-        payload = json.loads(open(p1).read())
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
+        payload = json.loads(Path(p1).read_text())
         assert payload["format_version"] == 2
         stored = [payload["kernels"], payload["fc"]["weights"], payload["fc"]["biases"]]
         for entry, want in zip(stored, params.arrays()):
@@ -532,7 +533,7 @@ class TestCheckpoint:
         rng = np.random.default_rng(34)
         path = str(tmp_path / "ck.json")
         save_checkpoint(path, init_params(cfg, rng), cfg, training_meta={"epoch": 1})
-        before = open(path, "rb").read()
+        before = Path(path).read_bytes()
 
         def dump_then_fail(obj, fh):
             fh.write(json.dumps(obj)[:100])
@@ -544,7 +545,7 @@ class TestCheckpoint:
             with pytest.raises(OSError, match="disk full"):
                 save_checkpoint(target, init_params(cfg, rng), cfg, training_meta={"epoch": 2})
         monkeypatch.undo()
-        assert open(path, "rb").read() == before
+        assert Path(path).read_bytes() == before
         assert load_checkpoint(path)[2] == {"epoch": 1}
         assert sorted(os.listdir(tmp_path)) == ["ck.json"]
 
@@ -566,7 +567,7 @@ class TestCheckpoint:
         params = init_params(cfg, rng, noise=0.05)
         path = str(tmp_path / "k.csv")
         export_kernels_csv(path, params)
-        lines = open(path).read().strip().splitlines()
+        lines = Path(path).read_text().strip().splitlines()
         assert lines[0] == "path,channel,part,k0,k1,k2,k3"
         # 1 path x 2 channels x 2 parts x 4 rows
         assert len(lines) == 1 + 16

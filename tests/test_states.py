@@ -12,6 +12,7 @@ from qsep.states import (
     ket_to_dm,
     map_point,
     map_state,
+    map_states,
     mix,
     parameterized_mixed,
     purity,
@@ -25,6 +26,22 @@ from qsep.states import (
     sample_parameterized,
     u3,
 )
+
+
+def ref_map_state(pt):
+    """The map state one point at a time, as written before the batched builder."""
+    a, phi = pt.a_param, pt.phi
+    s = np.sqrt(1.0 - a * a)
+    psi1 = np.array([a, s], dtype=complex)
+    psi2 = np.array([np.exp(-0.5j * phi) * s, -a * np.exp(0.5j * phi)])
+    k1 = kron_all([psi1] * 3)
+    k2 = kron_all([psi2] * 3)
+    rho = pt.p * ket_to_dm(k1) + (1.0 - pt.p) * ket_to_dm(k2)
+    if pt.c_boost > 0.0:
+        w, v = np.linalg.eigh(0.5 * (rho + rho.conj().T))
+        top = v[:, -1]
+        rho = (rho + pt.c_boost * np.outer(top, top.conj())) / (w.sum() + pt.c_boost)
+    return rho
 
 
 def assert_density_matrix(rho, atol_eig=1e-9):
@@ -266,6 +283,17 @@ class TestBoost:
         rng = np.random.default_rng(21)
         with pytest.raises(ValueError):
             boost_largest_eigenvalue(random_mixed_product(rng), -0.1)
+        rhos = np.stack([random_mixed_product(rng) for _ in range(3)])
+        with pytest.raises(ValueError):
+            boost_largest_eigenvalue(rhos, np.array([0.2, -0.1, 0.3]))
+
+    def test_stack_equals_one_at_a_time(self):
+        rng = np.random.default_rng(23)
+        rhos = np.stack([random_product_mixture(rng) for _ in range(6)])
+        cs = rng.uniform(0.0, 2.0, size=6)
+        out = boost_largest_eigenvalue(rhos, cs)
+        for rho, c, got in zip(rhos, cs, out):
+            assert np.array_equal(got, boost_largest_eigenvalue(rho, float(c)))
 
 
 class TestMapFamily:
@@ -310,6 +338,16 @@ class TestMapFamily:
         for u in np.linspace(0, 2, 9):
             for v in np.linspace(0, 2, 9):
                 assert_density_matrix(map_state(map_point(u, v)))
+
+    def test_batched_builder_bit_identical_to_reference(self):
+        # grid 41 holds cells with a degenerate top eigenvalue before the boost, where
+        # any change in the arithmetic can pick another eigenvector
+        us = np.linspace(0.0, 2.0, 41)
+        pts = [map_point(u, v) for v in us for u in us]
+        want = np.stack([ref_map_state(pt) for pt in pts])
+        assert np.array_equal(map_states(pts), want)
+        assert np.array_equal(map_state(pts[-1]), want[-1])
+        assert sum(pt.c_boost > 0.0 for pt in pts) > 0
 
     def test_all_four_classes_on_coarse_grid(self):
         from qsep.oracles import StateClass, classify

@@ -1,10 +1,12 @@
 """Dataset builders, the QSD1 binary format, and the training loop."""
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qsep.errors import DataFormatError, TrainingDivergedError
+from qsep import states, training
+from qsep.errors import DataFormatError, RejectionLimitError, TrainingDivergedError
 from qsep.oracles import CUTS, StateClass, classify, negativity
 from qsep.separator import SeparatorConfig, load_checkpoint
 from qsep.training import (
@@ -77,64 +79,64 @@ class TestQsdFormat:
         p1, p2 = str(tmp_path / "a.qsd"), str(tmp_path / "b.qsd")
         save_qsd(p1, small_val)
         save_qsd(p2, small_val)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_record_size(self, tmp_path, small_val):
         p = str(tmp_path / "a.qsd")
         save_qsd(p, small_val)
-        raw = open(p, "rb").read()
+        raw = Path(p).read_bytes()
         assert len(raw) == 13 + len(small_val) * 1026
 
     def test_bad_magic_offset_0(self, tmp_path, small_val):
         p = str(tmp_path / "a.qsd")
         save_qsd(p, small_val)
-        raw = bytearray(open(p, "rb").read())
+        raw = bytearray(Path(p).read_bytes())
         raw[0:4] = b"XXXX"
-        open(p, "wb").write(bytes(raw))
+        Path(p).write_bytes(bytes(raw))
         with pytest.raises(DataFormatError, match=r"byte offset 0"):
             load_qsd(p)
 
     def test_bad_version_offset_4(self, tmp_path, small_val):
         p = str(tmp_path / "a.qsd")
         save_qsd(p, small_val)
-        raw = bytearray(open(p, "rb").read())
+        raw = bytearray(Path(p).read_bytes())
         struct.pack_into("<I", raw, 4, 99)
-        open(p, "wb").write(bytes(raw))
+        Path(p).write_bytes(bytes(raw))
         with pytest.raises(DataFormatError, match=r"version 99.*byte offset 4"):
             load_qsd(p)
 
     def test_bad_qubits_offset_8(self, tmp_path, small_val):
         p = str(tmp_path / "a.qsd")
         save_qsd(p, small_val)
-        raw = bytearray(open(p, "rb").read())
+        raw = bytearray(Path(p).read_bytes())
         raw[8] = 5
-        open(p, "wb").write(bytes(raw))
+        Path(p).write_bytes(bytes(raw))
         with pytest.raises(DataFormatError, match=r"n_qubits 5.*byte offset 8"):
             load_qsd(p)
 
     def test_truncated_body(self, tmp_path, small_val):
         p = str(tmp_path / "a.qsd")
         save_qsd(p, small_val)
-        raw = open(p, "rb").read()
-        open(p, "wb").write(raw[:-7])
+        raw = Path(p).read_bytes()
+        Path(p).write_bytes(raw[:-7])
         with pytest.raises(DataFormatError, match=r"body is"):
             load_qsd(p)
 
     def test_reserved_label_bits_named_offset(self, tmp_path, small_val):
         p = str(tmp_path / "a.qsd")
         save_qsd(p, small_val)
-        raw = bytearray(open(p, "rb").read())
+        raw = bytearray(Path(p).read_bytes())
         i = 3  # corrupt the label of record 3
         off = 13 + i * 1026 + 1024
         struct.pack_into("<H", raw, off, 0xF000)
-        open(p, "wb").write(bytes(raw))
+        Path(p).write_bytes(bytes(raw))
         with pytest.raises(DataFormatError, match=rf"record {i}.*byte offset {off}"):
             load_qsd(p)
 
     def test_csv_mirror(self, tmp_path, small_val):
         p = str(tmp_path / "a.csv")
         save_qsd_csv(p, small_val)
-        lines = open(p).read().strip().split("\n")
+        lines = Path(p).read_text().strip().split("\n")
         assert len(lines) == 1 + len(small_val)
         assert len(lines[1].split(",")) == 129  # 128 floats + label
 
@@ -229,6 +231,50 @@ class TestBuilders:
         )
         with pytest.raises(DataFormatError, match="record 9 is stored as separable"):
             verify_labels(bad, fraction=1.0)
+
+
+def reject_every_draw(monkeypatch, max_draws=5):
+    """Make every state source of the rejection samplers return a product state,
+    which none of them accepts, and lower the draw cap; returns a draw counter."""
+    draws = []
+
+    def product_ket(n_qubits=3, *args, **kwargs):
+        draws.append(1)
+        ket = np.zeros(2**n_qubits, dtype=complex)
+        ket[0] = 1.0
+        return ket
+
+    def product_mixed(*args, **kwargs):
+        draws.append(1)
+        return np.eye(8, dtype=complex) / 8
+
+    monkeypatch.setattr(states, "haar_random_pure", product_ket)
+    monkeypatch.setattr(states, "random_circuit_state", product_ket)
+    for name in ("antipodal_classical", "random_product_mixture", "reduce_from_larger"):
+        monkeypatch.setattr(states, name, product_mixed)
+    monkeypatch.setattr(training, "MAX_DRAWS", max_draws)
+    return draws
+
+
+class TestRejectionCap:
+    # one toggle per state source: shared basis, circuit, ket mixture, reduction
+    @pytest.mark.parametrize("family,toggle", [
+        ("zero_discord", 0), ("zero_discord", 2), ("discordant_separable", 0),
+        ("pure_entangled", 0), ("pure_entangled", 1),
+        ("mixed_entangled", 0), ("mixed_entangled", 2), ("mixed_entangled", 3),
+    ])
+    def test_cap_raises_naming_family_and_cap(self, monkeypatch, family, toggle):
+        draws = reject_every_draw(monkeypatch)
+        gen = getattr(training, f"gen_{family}")
+        with pytest.raises(RejectionLimitError, match=f"^{family}: no acceptable state in 5 draws"):
+            gen(np.random.default_rng(0), toggle=toggle)
+        assert len(draws) >= 5
+
+    def test_each_draw_counts(self, monkeypatch):
+        draws = reject_every_draw(monkeypatch, max_draws=7)
+        with pytest.raises(RejectionLimitError):
+            training.gen_zero_discord(np.random.default_rng(0))
+        assert len(draws) == 7
 
 
 class TestTrainLoop:
