@@ -25,19 +25,6 @@ from .separator import (
     load_checkpoint,
 )
 
-GEN_KINDS = (
-    "pure-sep",
-    "pure-ent",
-    "mixed-sep",
-    "mixed-ent",
-    "zd",
-    "product",
-    "s-pure",
-    "s-mixed",
-    "train",
-    "val",
-)
-
 
 def _resolve(args: argparse.Namespace, config_file: dict, defaults: dict) -> dict:
     """CLI flags override config-file values override defaults."""
@@ -86,59 +73,16 @@ def _write_manifest(path: str, resolved: dict) -> None:
 # --- gen ---------------------------------------------------------------------
 
 
-def _gen_dataset(kind: str, count: int, seed: int) -> training.Dataset:
-    rng = np.random.default_rng(seed)
-    if kind == "train":
-        return training.build_separable_set(count, seed, kind="train")
-    if kind == "val":
-        return training.build_separable_set(count, seed, kind="val")
-    if kind == "s-pure":
-        if count % 2:
-            raise ValueError("s-pure needs an even count (balanced halves)")
-        return training.build_s_pure(count // 2, seed)
-    if kind == "s-mixed":
-        return training.build_s_mixed(count, seed)
-    records = []
-    if kind == "pure-sep":
-        for i in range(count):
-            records.append(training.gen_pure_separable(rng, toggle=i))
-    elif kind == "pure-ent":
-        for i in range(count):
-            records.append(training.gen_pure_entangled(rng, toggle=i))
-    elif kind == "product":
-        for _ in range(count):
-            records.append(training.gen_mixed_product(rng))
-    elif kind == "zd":
-        for i in range(count):
-            records.append(training.gen_zero_discord(rng, toggle=i))
-    elif kind == "mixed-ent":
-        for i in range(count):
-            records.append(training.gen_mixed_entangled(rng, toggle=i))
-    elif kind == "mixed-sep":
-        n_prod, n_zd, n_disc = training._largest_remainder(count, training.MIXED_SEP_FRACTIONS)
-        for _ in range(n_prod):
-            records.append(training.gen_mixed_product(rng))
-        for i in range(n_zd):
-            records.append(training.gen_zero_discord(rng, toggle=i))
-        for i in range(n_disc):
-            records.append(training.gen_discordant_separable(rng, toggle=i))
-    else:
-        raise ValueError(f"unknown kind {kind!r}, expected one of {GEN_KINDS}")
-    return training._assemble(records, {"kind": kind, "seed": seed})
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
     cfg_file = _load_config_file(args.config)
     resolved = _resolve(
         args, cfg_file, {"kind": None, "count": None, "seed": 0, "out": None, "csv": False}
     )
-    if resolved["kind"] not in GEN_KINDS:
-        raise ValueError(f"--kind must be one of {GEN_KINDS}")
     if not resolved["count"] or resolved["count"] < 1:
         raise ValueError("--count must be a positive integer")
     if not resolved["out"]:
         raise ValueError("--out is required")
-    ds = _gen_dataset(resolved["kind"], int(resolved["count"]), int(resolved["seed"]))
+    ds = training.build_dataset(resolved["kind"], int(resolved["count"]), int(resolved["seed"]))
     training.save_qsd(resolved["out"], ds)
     if resolved["csv"]:
         training.save_qsd_csv(resolved["out"] + ".csv", ds)
@@ -368,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate a labeled dataset (QSD1)")
     add_common(g)
-    g.add_argument("--kind", choices=GEN_KINDS)
+    g.add_argument("--kind", choices=tuple(training.PLANS))
     g.add_argument("--count", type=int)
     g.add_argument("--out")
     g.add_argument("--csv", action="store_true", default=None, help="also write a CSV mirror")

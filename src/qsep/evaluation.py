@@ -102,14 +102,6 @@ class SweepResult:
         return float(self.balanced_accuracy[self.best_index])
 
     @property
-    def tpr(self) -> np.ndarray:
-        return self.recall
-
-    @property
-    def fpr(self) -> np.ndarray:
-        return self.fp / (self.fp + self.tn)
-
-    @property
     def accuracy(self) -> np.ndarray:
         return (self.tp + self.tn) / (self.tp + self.fp + self.tn + self.fn)
 

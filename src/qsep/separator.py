@@ -27,6 +27,7 @@ import hashlib
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,7 @@ __all__ = [
     "loss",
     "forward_batch",
     "gradient",
+    "atomic_write",
     "save_checkpoint",
     "load_checkpoint",
     "export_kernels_csv",
@@ -413,6 +415,22 @@ def _decode_array(obj, version: int) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
 
+@contextmanager
+def atomic_write(path: str, mode: str = "w"):
+    """Open `<path>.tmp` for writing and rename it over `path` once the block
+    succeeds, so `path` never holds a partial file; on any failure the temp
+    file is removed and `path` is left as it was."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_checkpoint(
     path: str,
     params: SeparatorParams,
@@ -420,8 +438,7 @@ def save_checkpoint(
     training_meta: dict | None = None,
 ) -> None:
     """Write a version-2 checkpoint: one JSON object whose arrays are packed
-    float64 (see `_encode_array`). The file is written beside `path` and
-    renamed over it, so `path` never holds a partial checkpoint."""
+    float64 (see `_encode_array`), through `atomic_write`."""
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "config": config.to_dict(),
@@ -431,15 +448,8 @@ def save_checkpoint(
         else {"weights": _encode_array(params.fc_w), "biases": _encode_array(params.fc_b)},
         "training_meta": training_meta or {},
     }
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with atomic_write(path) as fh:
+        json.dump(payload, fh)
 
 
 def load_checkpoint(path: str) -> tuple[SeparatorParams, SeparatorConfig, dict]:

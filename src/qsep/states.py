@@ -147,58 +147,6 @@ def random_product_mixture(
     return rho
 
 
-@dataclass
-class ParameterizedParams:
-    """Inputs to the parameterized mixed-state generator.
-
-    amps: per-qubit |0> amplitudes a_i in [0,1] (|1> amplitude is sqrt(1-a_i^2))
-    phases: (phi_12, phi_13, phi_23) on the doubly-excited basis states
-    dephase: per-qubit coherence scale c_i in [0,1]
-    angles: 3x3 array of (theta, phi, lambda) for the final local rotations
-    """
-
-    amps: np.ndarray
-    phases: np.ndarray
-    dephase: np.ndarray
-    angles: np.ndarray
-
-
-def sample_parameterized(rng: np.random.Generator) -> ParameterizedParams:
-    return ParameterizedParams(
-        amps=rng.uniform(0.0, 1.0, size=3),
-        phases=rng.uniform(0.0, 2.0 * np.pi, size=3),
-        dephase=rng.uniform(0.0, 1.0, size=3),
-        angles=rng.uniform(0.0, 2.0 * np.pi, size=(3, 3)),
-    )
-
-
-def parameterized_mixed(params: ParameterizedParams) -> np.ndarray:
-    """Phased 3-qubit ket, per-qubit dephasing, then random local rotations."""
-    a = np.asarray(params.amps, dtype=float)
-    c = np.asarray(params.dephase, dtype=float)
-    if a.shape != (3,) or np.any(a < 0.0) or np.any(a > 1.0):
-        raise ValueError("amps must be three reals in [0, 1]")
-    if c.shape != (3,) or np.any(c < 0.0) or np.any(c > 1.0):
-        raise ValueError("dephase must be three reals in [0, 1]")
-    phi_12, phi_13, phi_23 = params.phases
-    b = np.sqrt(1.0 - a**2)
-    amp = lambda bits, i: a[i] if bits[i] == 0 else b[i]  # noqa: E731
-    ket = np.zeros(8, dtype=complex)
-    extra = {3: phi_23, 5: phi_13, 6: phi_12, 7: phi_12 + phi_13 + phi_23}
-    for idx in range(8):
-        bits = ((idx >> 2) & 1, (idx >> 1) & 1, idx & 1)
-        ket[idx] = amp(bits, 0) * amp(bits, 1) * amp(bits, 2) * np.exp(1j * extra.get(idx, 0.0))
-    rho = ket_to_dm(ket)
-    # per-qubit dephasing: scale every coherence where qubit i's bits differ by c_i
-    idx = np.arange(8)
-    for i, shift in enumerate((2, 1, 0)):
-        bit = (idx >> shift) & 1
-        mask = bit[:, None] != bit[None, :]
-        rho = rho * np.where(mask, c[i], 1.0)
-    u = kron_all(u3(*params.angles[i]) for i in range(3))
-    return u @ rho @ u.conj().T
-
-
 def mix(states: list[np.ndarray], probs: np.ndarray) -> np.ndarray:
     """Convex mixture of density matrices."""
     probs = np.asarray(probs, dtype=float)

@@ -4,8 +4,9 @@ Training data is separable-only (that is the whole premise: the model never
 sees a correlated state). The composition mirrors the generation recipe the
 evaluation targets assume: ~35.8% pure separable, ~22.6% mixed product,
 ~18.9% non-product zero-discord, ~22.6% discordant separable. Test sets are
-a balanced pure set and a four-class mixed set. Records are (8x8 complex
-matrix, 16-bit label) pairs, stored in the QSD1 binary format.
+a balanced pure set and a four-class mixed set. Each dataset kind's family
+mix is one row of `PLANS`. Records are (8x8 complex matrix, 16-bit label)
+pairs, stored in the QSD1 binary format.
 """
 from __future__ import annotations
 
@@ -25,11 +26,13 @@ from .oracles import (
     class_code,
     classify,
     label_states,
+    negativities,
     negativity,
 )
 from .separator import (
     SeparatorConfig,
     SeparatorParams,
+    atomic_write,
     forward_batch,
     gradient,
     init_params,
@@ -48,19 +51,32 @@ VALID_LABEL_MASK = (1 << 12) - 1
 
 FULL_TRAIN = 530_000
 FULL_VAL = 50_000
-FULL_S_PURE_PER_CLASS = 15_000
-FULL_S_MIXED = 65_000
 
-# training mix per 530 records: pure separable, mixed product, zero discord,
-# discordant separable; `qsep gen --kind mixed-sep` draws the mixed part
-TRAIN_COUNTS = np.array([190.0, 120.0, 100.0, 120.0])
-TRAIN_FRACTIONS = TRAIN_COUNTS / TRAIN_COUNTS.sum()
-MIXED_SEP_FRACTIONS = TRAIN_COUNTS[1:] / TRAIN_COUNTS[1:].sum()
-S_MIXED_FRACTIONS = {
-    StateClass.PRODUCT: 0.13,
-    StateClass.NON_DISCORDANT: 0.27,
-    StateClass.DISCORDANT_SEPARABLE: 0.27,
-    StateClass.ENTANGLED: 0.33,
+# Training mix per 530 records; `mixed-sep` is its mixed part.
+_TRAIN_MIX = (
+    ("pure_separable", 190),
+    ("mixed_product", 120),
+    ("zero_discord", 100),
+    ("discordant_separable", 120),
+)
+# Every dataset kind's ordered (family, share) mix: `build_dataset` draws the
+# families in this order, each with its share of the records.
+PLANS = {
+    "train": _TRAIN_MIX,
+    "val": _TRAIN_MIX,
+    "mixed-sep": _TRAIN_MIX[1:],
+    "s-pure": (("pure_separable", 1), ("pure_entangled", 1)),
+    "s-mixed": (
+        ("mixed_product", 13),
+        ("zero_discord", 27),
+        ("discordant_separable", 27),
+        ("mixed_entangled", 33),
+    ),
+    "pure-sep": (("pure_separable", 1),),
+    "pure-ent": (("pure_entangled", 1),),
+    "product": (("mixed_product", 1),),
+    "zd": (("zero_discord", 1),),
+    "mixed-ent": (("mixed_entangled", 1),),
 }
 
 SUBSETS = ("Pure", "Prod", "ZD", "Sep", "NPS")
@@ -139,7 +155,7 @@ def save_qsd(path: str, ds: Dataset) -> None:
     rec["m"][:, 0::2] = flat.real
     rec["m"][:, 1::2] = flat.imag
     rec["label"] = ds.labels.astype(np.uint16)
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, 3, n))
         fh.write(rec.tobytes())
 
@@ -182,7 +198,7 @@ def load_qsd(path: str) -> Dataset:
 def save_qsd_csv(path: str, ds: Dataset) -> None:
     """Plain-text mirror of the binary records (128 floats + label per row)."""
     cols = [f"{p}{i}{j}" for i in range(8) for j in range(8) for p in ("re", "im")]
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(",".join(cols) + ",label\n")
         flat = ds.mats.reshape(len(ds), 64)
         for row, lab in zip(flat, ds.labels):
@@ -194,6 +210,8 @@ def save_qsd_csv(path: str, ds: Dataset) -> None:
 
 
 # --- per-class generators ---------------------------------------------------
+# Each takes (rng, toggle); toggle is the record's index within its family
+# and picks the flavor where a family has more than one.
 
 
 def _record(rho: np.ndarray, label: StateLabel) -> tuple[np.ndarray, int]:
@@ -216,7 +234,7 @@ def gen_pure_separable(rng: np.random.Generator, toggle: int = 0):
     return _record(rho, classify(rho, known_separable=True))
 
 
-def gen_mixed_product(rng: np.random.Generator):
+def gen_mixed_product(rng: np.random.Generator, toggle: int = 0):
     rho = states.random_mixed_product(rng)
     return _record(rho, classify(rho, known_separable=True))
 
@@ -244,7 +262,6 @@ def gen_zero_discord(rng: np.random.Generator, toggle: int = 0):
 
 def gen_discordant_separable(rng: np.random.Generator, toggle: int = 0):
     """Separable but discordant: Dirichlet mixtures of random product kets."""
-    del toggle  # single flavor; kept for signature parity with the other gens
     for _ in range(MAX_DRAWS):
         rho = states.random_product_mixture(rng)
         label = classify(rho, known_separable=True)
@@ -273,18 +290,13 @@ def _near_boundary_entangled(rng: np.random.Generator) -> np.ndarray | None:
     ket is too weakly entangled to anchor the bisection.
     """
     core = states.ket_to_dm(states.haar_random_pure(3, rng))
-    if max(negativity(core, c) for c in CUTS) < 0.05:
+    if negativities(core[None]).max() < 0.05:
         return None
     filler = states.random_mixed_product(rng)
-
-    def neg_at(lam: float) -> float:
-        rho = lam * core + (1.0 - lam) * filler
-        return max(negativity(rho, c) for c in CUTS)
-
     lo, hi = 0.0, 1.0  # lo stays on the PPT side, hi on the entangled side
     for _ in range(20):
         mid = 0.5 * (lo + hi)
-        if neg_at(mid) > 1e-9:
+        if negativities((mid * core + (1.0 - mid) * filler)[None]).max() > 1e-9:
             hi = mid
         else:
             lo = mid
@@ -323,91 +335,64 @@ def gen_mixed_entangled(rng: np.random.Generator, toggle: int = 0):
     raise _draws_exhausted("mixed_entangled")
 
 
-def _largest_remainder(total: int, fractions: np.ndarray) -> np.ndarray:
-    raw = np.asarray(fractions, dtype=float) * total
+def plan_counts(kind: str, count: int) -> dict[str, int]:
+    """Records per family for `count` records of `kind`, in plan order.
+
+    Shares are rounded by the largest-remainder rule: every family gets the
+    floor of its share and the largest fractional parts take the rest.
+    """
+    if kind not in PLANS:
+        raise ValueError(f"unknown kind {kind!r}, expected one of {tuple(PLANS)}")
+    if kind == "s-pure" and count % 2:
+        raise ValueError("s-pure needs an even count (balanced halves)")
+    families, shares = zip(*PLANS[kind])
+    shares = np.array(shares, dtype=float)
+    raw = shares / shares.sum() * count
     counts = np.floor(raw).astype(int)
-    rem = total - counts.sum()
     order = np.argsort(raw - counts)[::-1]
-    counts[order[:rem]] += 1
-    return counts
+    counts[order[: count - counts.sum()]] += 1
+    return {f: int(n) for f, n in zip(families, counts)}
 
 
-def _assemble(records: list[tuple[np.ndarray, int]], meta: dict) -> Dataset:
-    mats = np.stack([r[0] for r in records]).astype(complex)
-    labels = np.asarray([r[1] for r in records], dtype=np.uint16)
-    return Dataset(mats=mats, labels=labels, meta=meta)
+def build_dataset(kind: str, count: int, seed: int) -> Dataset:
+    """`count` records of a dataset kind from one rng seeded with `seed`.
+
+    Families are drawn in plan order; record i of a family is
+    `gen_<family>(rng, toggle=i)`, looked up when the family is drawn so a
+    replaced module attribute is the one that runs.
+    """
+    counts = plan_counts(kind, count)
+    rng = np.random.default_rng(seed)
+    mats = np.empty((count, 8, 8), dtype=complex)
+    labels = np.empty(count, dtype=np.uint16)
+    row = 0
+    for family, n in counts.items():
+        gen = globals()[f"gen_{family}"]
+        for i in range(n):
+            mats[row], labels[row] = gen(rng, toggle=i)
+            row += 1
+    return Dataset(mats=mats, labels=labels, meta={"kind": kind, "seed": seed, "counts": counts})
 
 
 def build_separable_set(n: int, seed: int, kind: str = "train") -> Dataset:
     """Training/validation composition: all records separable."""
-    rng = np.random.default_rng(seed)
-    n_pure, n_prod, n_zd, n_disc = _largest_remainder(n, TRAIN_FRACTIONS)
-    records = []
-    for i in range(n_pure):
-        records.append(gen_pure_separable(rng, toggle=i))
-    for _ in range(n_prod):
-        records.append(gen_mixed_product(rng))
-    for i in range(n_zd):
-        records.append(gen_zero_discord(rng, toggle=i))
-    for i in range(n_disc):
-        records.append(gen_discordant_separable(rng, toggle=i))
-    meta = {
-        "kind": kind,
-        "seed": seed,
-        "counts": {
-            "pure_separable": int(n_pure),
-            "mixed_product": int(n_prod),
-            "zero_discord": int(n_zd),
-            "discordant_separable": int(n_disc),
-        },
-    }
-    return _assemble(records, meta)
+    return build_dataset(kind, n, seed)
 
 
 def build_s_pure(n_per_class: int, seed: int) -> Dataset:
     """Balanced pure set: half separable, half entangled, each half split
     between Haar draws and random circuits."""
-    rng = np.random.default_rng(seed)
-    records = []
-    for i in range(n_per_class):
-        records.append(gen_pure_separable(rng, toggle=i))
-    for i in range(n_per_class):
-        records.append(gen_pure_entangled(rng, toggle=i))
-    return _assemble(records, {"kind": "s_pure", "seed": seed, "per_class": n_per_class})
+    return build_dataset("s-pure", 2 * n_per_class, seed)
 
 
 def build_s_mixed(n: int, seed: int) -> Dataset:
-    rng = np.random.default_rng(seed)
-    fractions = np.array([S_MIXED_FRACTIONS[k] for k in S_MIXED_FRACTIONS])
-    counts = _largest_remainder(n, fractions)
-    records = []
-    by_class = dict(zip(S_MIXED_FRACTIONS, counts))
-    for _ in range(by_class[StateClass.PRODUCT]):
-        records.append(gen_mixed_product(rng))
-    for i in range(by_class[StateClass.NON_DISCORDANT]):
-        records.append(gen_zero_discord(rng, toggle=i))
-    for i in range(by_class[StateClass.DISCORDANT_SEPARABLE]):
-        records.append(gen_discordant_separable(rng, toggle=i))
-    for i in range(by_class[StateClass.ENTANGLED]):
-        records.append(gen_mixed_entangled(rng, toggle=i))
-    meta = {
-        "kind": "s_mixed",
-        "seed": seed,
-        "counts": {k.value: int(v) for k, v in by_class.items()},
-    }
-    return _assemble(records, meta)
+    return build_dataset("s-mixed", n, seed)
 
 
 def build_training_sets(scale: float, seed: int) -> tuple[Dataset, Dataset]:
     train = build_separable_set(round(scale * FULL_TRAIN), seed, kind="train")
     val = build_separable_set(round(scale * FULL_VAL), seed + 1, kind="val")
     return train, val
-
-
-def build_test_sets(scale: float, seed: int) -> tuple[Dataset, Dataset]:
-    s_pure = build_s_pure(round(scale * FULL_S_PURE_PER_CLASS), seed + 2)
-    s_mixed = build_s_mixed(round(scale * FULL_S_MIXED), seed + 3)
-    return s_pure, s_mixed
 
 
 def subset_mask(ds: Dataset, subset: str) -> np.ndarray:
@@ -502,18 +487,6 @@ class TrainReport:
     params: SeparatorParams
     config: SeparatorConfig
     train_config: TrainConfig
-
-    def summary(self) -> dict:
-        return {
-            "train_losses": self.train_losses,
-            "val_losses": self.val_losses,
-            "val_loss_init": self.val_loss_init,
-            "best_epoch": self.best_epoch,
-            "best_val_loss": self.best_val_loss,
-            "epochs": self.train_config.epochs,
-            "seed": self.train_config.seed,
-            "subset": self.train_config.subset,
-        }
 
 
 def mean_loss(

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from qsep import states, training
-from qsep.cli import _gen_dataset, main
+from qsep.cli import main
 from qsep.separator import _encode_array, load_checkpoint
-from qsep.training import load_qsd
+from qsep.training import build_dataset, load_qsd
 
 
 def run(*argv):
@@ -95,7 +95,7 @@ class TestGen:
             return draw(rng, shared_basis=shared_basis)
 
         monkeypatch.setattr(states, "antipodal_classical", recording)
-        _gen_dataset(kind, count, 9)
+        build_dataset(kind, count, 9)
         assert shared.count(True) == 1
 
     def test_manifest_written(self, product_qsd):

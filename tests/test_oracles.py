@@ -12,6 +12,7 @@ from qsep.oracles import (
     classify,
     is_product,
     label_states,
+    negativities,
     negativity,
     zero_discord_check,
 )
@@ -21,6 +22,7 @@ from qsep.states import (
     map_point,
     map_states,
     mix,
+    random_circuit_state,
     random_classical_state,
     random_mixed_product,
     random_product_mixture,
@@ -133,6 +135,16 @@ class TestNegativity:
                 red_purity = purity(partial_trace(rho, keep=[cut]))
                 assert (neg > 1e-9) == (red_purity < 1 - 1e-9)
 
+    def test_circuit_states_npt(self):
+        # frozen Monte-Carlo oracle: kets from entangling circuits of phased
+        # rotations are NPT on some cut in >= 90% of draws
+        rng = np.random.default_rng(10)
+        mats = np.stack([
+            ket_to_dm(random_circuit_state(3, depth=4, entangling=True, rng=rng))
+            for _ in range(200)
+        ])
+        assert (negativities(mats).max(axis=1) > 1e-9).mean() >= 0.9
+
 
 class TestZeroDiscord:
     def test_classical_mixture_all_six(self):
@@ -175,6 +187,16 @@ class TestZeroDiscord:
             want = zero_discord_check(rho, 0, "small")
             got = zero_discord_check(rho_rot, 0, "small")
             assert want == got
+
+    def test_product_basis_mixtures_pass_all_six(self):
+        # a mixture diagonal in a product basis (a fully dephased state) has
+        # zero discord under every check
+        rng = np.random.default_rng(27)
+        for _ in range(20):
+            rho = random_classical_state(rng)
+            for cut in CUTS:
+                for side in SIDES:
+                    assert zero_discord_check(rho, cut, side)
 
     def test_product_always_passes(self):
         rng = np.random.default_rng(3)

@@ -6,7 +6,6 @@ from qsep.oracles import CUTS, negativity
 from qsep import states
 from qsep.states import (
     MapPoint,
-    ParameterizedParams,
     boost_largest_eigenvalue,
     haar_random_pure,
     ket_to_dm,
@@ -14,7 +13,6 @@ from qsep.states import (
     map_state,
     map_states,
     mix,
-    parameterized_mixed,
     purity,
     random_circuit_state,
     random_classical_state,
@@ -23,7 +21,6 @@ from qsep.states import (
     random_separable_pure,
     random_single_qubit_mixed,
     reduce_from_larger,
-    sample_parameterized,
     u3,
 )
 
@@ -129,74 +126,6 @@ class TestU3:
 
     def test_identity_angles(self):
         assert np.abs(u3(0.0, 0.0, 0.0) - np.eye(2)).max() <= 1e-15
-
-
-class TestParameterized:
-    def test_no_phase_full_coherence_is_pure_product(self):
-        rng = np.random.default_rng(8)
-        p = ParameterizedParams(
-            amps=tuple(rng.uniform(0, 1, size=3)),
-            phases=(0.0, 0.0, 0.0),
-            dephase=(1.0, 1.0, 1.0),
-            angles=tuple(tuple(rng.uniform(0, 2 * np.pi, size=3)) for _ in range(3)),
-        )
-        rho = parameterized_mixed(p)
-        assert_density_matrix(rho)
-        assert abs(purity(rho) - 1.0) <= 1e-10
-        for cut in CUTS:
-            assert negativity(rho, cut) <= 1e-10
-
-    def test_no_phase_any_dephasing_zero_discord(self):
-        from qsep.oracles import SIDES, zero_discord_check
-
-        rng = np.random.default_rng(9)
-        for _ in range(5):
-            p = ParameterizedParams(
-                amps=tuple(rng.uniform(0, 1, size=3)),
-                phases=(0.0, 0.0, 0.0),
-                dephase=tuple(rng.uniform(0, 1, size=3)),
-                angles=tuple(tuple(rng.uniform(0, 2 * np.pi, size=3)) for _ in range(3)),
-            )
-            rho = parameterized_mixed(p)
-            for cut in CUTS:
-                for side in SIDES:
-                    assert zero_discord_check(rho, cut, side)
-
-    def test_generic_phases_entangle(self):
-        # frozen Monte-Carlo oracle: with full coherence and random phases,
-        # some cut is NPT in >= 90% of draws
-        rng = np.random.default_rng(10)
-        hits = 0
-        n = 1000
-        for _ in range(n):
-            p = sample_parameterized(rng)
-            rho = parameterized_mixed(
-                ParameterizedParams(
-                    amps=p.amps, phases=p.phases, dephase=(1.0, 1.0, 1.0), angles=p.angles
-                )
-            )
-            if max(negativity(rho, c) for c in CUTS) > 1e-9:
-                hits += 1
-        assert hits / n >= 0.9
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            parameterized_mixed(
-                ParameterizedParams(
-                    amps=(1.5, 0.0, 0.0),
-                    phases=(0.0, 0.0, 0.0),
-                    dephase=(1.0, 1.0, 1.0),
-                    angles=((0.0,) * 3,) * 3,
-                )
-            )
-
-    def test_sampled_params_in_range(self):
-        rng = np.random.default_rng(11)
-        p = sample_parameterized(rng)
-        assert all(0 <= a <= 1 for a in p.amps)
-        assert all(0 <= c <= 1 for c in p.dephase)
-        rho = parameterized_mixed(p)
-        assert_density_matrix(rho)
 
 
 class TestMix:
@@ -397,7 +326,6 @@ class TestOtherGenerators:
             lambda: random_mixed_product(rng),
             lambda: random_classical_state(rng),
             lambda: random_product_mixture(rng),
-            lambda: parameterized_mixed(sample_parameterized(rng)),
             lambda: reduce_from_larger(4, rng),
         ]
         for gen in gens:

@@ -1,4 +1,5 @@
 """Dataset builders, the QSD1 binary format, and the training loop."""
+import os
 import struct
 from pathlib import Path
 
@@ -13,13 +14,14 @@ from qsep.training import (
     BIT_PRODUCT,
     BIT_SEPARABLE,
     BIT_ZERO_DISCORD,
+    PLANS,
     Dataset,
     TrainConfig,
     _Adam,
+    build_dataset,
     build_s_mixed,
     build_s_pure,
     build_separable_set,
-    build_test_sets,
     build_training_sets,
     load_qsd,
     mean_loss,
@@ -133,6 +135,38 @@ class TestQsdFormat:
         with pytest.raises(DataFormatError, match=rf"record {i}.*byte offset {off}"):
             load_qsd(p)
 
+    @pytest.mark.parametrize("save", [save_qsd, save_qsd_csv])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, small_val, save):
+        path = str(tmp_path / "a.qsd")
+        save(path, small_val)
+        before = Path(path).read_bytes()
+        real_open = open
+
+        class DiskFull:
+            """A file whose first write stores 100 bytes, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:100])
+                raise OSError("disk full")
+
+        monkeypatch.setattr("builtins.open", lambda *a, **k: DiskFull(real_open(*a, **k)))
+        fresh = str(tmp_path / "fresh.qsd")
+        for target in (path, fresh):
+            with pytest.raises(OSError, match="disk full"):
+                save(target, small_val)
+        monkeypatch.undo()
+        assert Path(path).read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["a.qsd"]
+
     def test_csv_mirror(self, tmp_path, small_val):
         p = str(tmp_path / "a.csv")
         save_qsd_csv(p, small_val)
@@ -187,11 +221,6 @@ class TestBuilders:
         for rho in ds.mats[ent]:
             assert max(negativity(rho, c) for c in CUTS) > 1e-6
 
-    def test_test_sets_shapes(self):
-        sp, sm = build_test_sets(0.002, seed=3)
-        assert len(sp) == 2 * round(0.002 * 15_000)
-        assert len(sm) == round(0.002 * 65_000)
-
     def test_subset_filters(self, small_train):
         n = len(small_train)
         assert subset_mask(small_train, "Sep").sum() == n
@@ -231,6 +260,128 @@ class TestBuilders:
         )
         with pytest.raises(DataFormatError, match="record 9 is stored as separable"):
             verify_labels(bad, fraction=1.0)
+
+
+# --- reference for build_dataset: the per-kind loops it replaced --------------
+
+REF_TRAIN_COUNTS = np.array([190.0, 120.0, 100.0, 120.0])
+REF_TRAIN_FRACTIONS = REF_TRAIN_COUNTS / REF_TRAIN_COUNTS.sum()
+REF_MIXED_SEP_FRACTIONS = REF_TRAIN_COUNTS[1:] / REF_TRAIN_COUNTS[1:].sum()
+REF_S_MIXED_FRACTIONS = np.array([0.13, 0.27, 0.27, 0.33])
+
+
+def ref_largest_remainder(total, fractions):
+    raw = np.asarray(fractions, dtype=float) * total
+    counts = np.floor(raw).astype(int)
+    rem = total - counts.sum()
+    order = np.argsort(raw - counts)[::-1]
+    counts[order[:rem]] += 1
+    return counts
+
+
+def ref_dataset(kind, count, seed):
+    """(mats, labels) of `count` records of `kind`, one explicit loop per family."""
+    rng = np.random.default_rng(seed)
+    records = []
+    if kind in ("train", "val"):
+        n_pure, n_prod, n_zd, n_disc = ref_largest_remainder(count, REF_TRAIN_FRACTIONS)
+        for i in range(n_pure):
+            records.append(training.gen_pure_separable(rng, toggle=i))
+        for _ in range(n_prod):
+            records.append(training.gen_mixed_product(rng))
+        for i in range(n_zd):
+            records.append(training.gen_zero_discord(rng, toggle=i))
+        for i in range(n_disc):
+            records.append(training.gen_discordant_separable(rng, toggle=i))
+    elif kind == "s-pure":
+        for i in range(count // 2):
+            records.append(training.gen_pure_separable(rng, toggle=i))
+        for i in range(count // 2):
+            records.append(training.gen_pure_entangled(rng, toggle=i))
+    elif kind == "s-mixed":
+        n_prod, n_zd, n_disc, n_ent = ref_largest_remainder(count, REF_S_MIXED_FRACTIONS)
+        for _ in range(n_prod):
+            records.append(training.gen_mixed_product(rng))
+        for i in range(n_zd):
+            records.append(training.gen_zero_discord(rng, toggle=i))
+        for i in range(n_disc):
+            records.append(training.gen_discordant_separable(rng, toggle=i))
+        for i in range(n_ent):
+            records.append(training.gen_mixed_entangled(rng, toggle=i))
+    elif kind == "mixed-sep":
+        n_prod, n_zd, n_disc = ref_largest_remainder(count, REF_MIXED_SEP_FRACTIONS)
+        for _ in range(n_prod):
+            records.append(training.gen_mixed_product(rng))
+        for i in range(n_zd):
+            records.append(training.gen_zero_discord(rng, toggle=i))
+        for i in range(n_disc):
+            records.append(training.gen_discordant_separable(rng, toggle=i))
+    elif kind == "pure-sep":
+        for i in range(count):
+            records.append(training.gen_pure_separable(rng, toggle=i))
+    elif kind == "pure-ent":
+        for i in range(count):
+            records.append(training.gen_pure_entangled(rng, toggle=i))
+    elif kind == "product":
+        for _ in range(count):
+            records.append(training.gen_mixed_product(rng))
+    elif kind == "zd":
+        for i in range(count):
+            records.append(training.gen_zero_discord(rng, toggle=i))
+    elif kind == "mixed-ent":
+        for i in range(count):
+            records.append(training.gen_mixed_entangled(rng, toggle=i))
+    else:
+        raise AssertionError(kind)
+    mats = np.stack([r[0] for r in records]).astype(complex)
+    return mats, np.asarray([r[1] for r in records], dtype=np.uint16)
+
+
+class TestBuildDataset:
+    def test_every_kind_has_a_plan(self):
+        assert set(PLANS) == {
+            "train", "val", "mixed-sep", "s-pure", "s-mixed",
+            "pure-sep", "pure-ent", "product", "zd", "mixed-ent",
+        }
+
+    @pytest.mark.parametrize("count", [1, 7, 60])
+    @pytest.mark.parametrize("seed", [0, 17])
+    @pytest.mark.parametrize("kind", sorted(PLANS))
+    def test_matches_reference_loops(self, kind, seed, count):
+        if kind == "s-pure" and count % 2:
+            with pytest.raises(ValueError, match="even count"):
+                build_dataset(kind, count, seed)
+            return
+        ds = build_dataset(kind, count, seed)
+        mats, labels = ref_dataset(kind, count, seed)
+        assert np.array_equal(ds.mats, mats)
+        assert np.array_equal(ds.labels, labels)
+        assert ds.meta["kind"] == kind and ds.meta["seed"] == seed
+        counts = ds.meta["counts"]
+        assert list(counts) == [family for family, _ in PLANS[kind]]
+        assert sum(counts.values()) == len(ds) == count
+
+    def test_named_builders_are_plans(self):
+        assert np.array_equal(build_separable_set(20, 3, kind="val").mats,
+                              build_dataset("val", 20, 3).mats)
+        assert np.array_equal(build_s_pure(5, 3).mats, build_dataset("s-pure", 10, 3).mats)
+        assert np.array_equal(build_s_mixed(20, 3).mats, build_dataset("s-mixed", 20, 3).mats)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown kind"):
+            build_dataset("bogus", 3, 0)
+
+    def test_generators_looked_up_when_drawn(self, monkeypatch):
+        calls = []
+        gen = training.gen_mixed_product
+
+        def counting(rng, toggle=0):
+            calls.append(toggle)
+            return gen(rng, toggle=toggle)
+
+        monkeypatch.setattr(training, "gen_mixed_product", counting)
+        build_dataset("product", 4, 0)
+        assert calls == [0, 1, 2, 3]
 
 
 def reject_every_draw(monkeypatch, max_draws=5):
