@@ -14,7 +14,13 @@ import numpy as np
 
 # classify and map_state are unused here: perfbench/layers.py wraps them by attribute
 from .oracles import STATE_CLASSES, classify, label_states  # noqa: F401
-from .separator import SeparatorConfig, SeparatorParams, baseline_losses, forward_batch
+from .separator import (
+    SeparatorConfig,
+    SeparatorParams,
+    atomic_write,
+    baseline_losses,
+    forward_batch,
+)
 from .states import map_point, map_state, map_states  # noqa: F401
 from .training import BIT_SEPARABLE, BIT_ZERO_DISCORD, ENT_SHIFT
 
@@ -22,6 +28,8 @@ DEFAULT_THRESHOLDS = 400
 THRESHOLD_RANGE = (1e-5, 1.0)
 GROUPS = ("separable", "non_discordant", "discordant", "entangled")
 LABEL_MODES = ("discord", "entanglement")
+DEFAULT_CHUNK = 512  # states per model/oracle pass
+DEFAULT_GRID = 101  # map points per axis
 
 
 def threshold_grid(
@@ -34,7 +42,7 @@ def eval_losses(
     mats: np.ndarray,
     params: SeparatorParams,
     config: SeparatorConfig,
-    chunk: int = 512,
+    chunk: int = DEFAULT_CHUNK,
     threads: int = 1,
 ) -> np.ndarray:
     """Model reconstruction loss per state. Threading only distributes chunks; the
@@ -162,12 +170,8 @@ def confusion_at(losses: np.ndarray, positive: np.ndarray, threshold: float) -> 
     )
 
 
-def balanced_accuracy_from_counts(tp: int, fn: int, tn: int, fp: int) -> float:
-    return 0.5 * (tp / (tp + fn) + tn / (tn + fp))
-
-
 def write_sweep_csv(path: str, result: SweepResult, seed, checkpoint: str) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"# seed={seed} checkpoint={checkpoint}\n")
         fh.write("tau,tp,fp,tn,fn,pr,rc,ba\n")
         for i, tau in enumerate(result.thresholds):
@@ -182,13 +186,22 @@ def write_class_means_csv(
     path: str, losses: np.ndarray, labels: np.ndarray, seed, checkpoint: str
 ) -> None:
     masks = group_masks(labels)
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"# seed={seed} checkpoint={checkpoint}\n")
         fh.write("class,count,mean_loss\n")
         for name in GROUPS:
             mask = masks[name]
             if mask.any():
                 fh.write(f"{name},{int(mask.sum())},{float(losses[mask].mean()):.17g}\n")
+
+
+def write_confusion_csv(path: str, conf: np.ndarray, seed, checkpoint: str) -> None:
+    """The 2x2 counts of `confusion_at`, rows = true label."""
+    with atomic_write(path) as fh:
+        fh.write(f"# seed={seed} checkpoint={checkpoint}\n")
+        fh.write(",pred_negative,pred_positive\n")
+        fh.write(f"true_negative,{conf[0, 0]},{conf[0, 1]}\n")
+        fh.write(f"true_positive,{conf[1, 0]},{conf[1, 1]}\n")
 
 
 # --- 2-D map rendering ------------------------------------------------------
@@ -207,8 +220,8 @@ class MapRender:
 def render_map(
     params: SeparatorParams,
     config: SeparatorConfig,
-    grid: int = 101,
-    chunk: int = 512,
+    grid: int = DEFAULT_GRID,
+    chunk: int = DEFAULT_CHUNK,
     threads: int = 1,
 ) -> MapRender:
     """Evaluate the model and the factored-reduction baseline over the
@@ -241,7 +254,7 @@ def write_map_csv(
     path: str, render: MapRender, values: np.ndarray, seed, checkpoint: str
 ) -> None:
     """Per-cell (u, v, loss, klass) rows; `values` picks model or baseline."""
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"# seed={seed} checkpoint={checkpoint}\n")
         fh.write("u,v,loss,klass\n")
         for j, v in enumerate(render.vs):
@@ -261,7 +274,7 @@ def write_map_pgm(path: str, values: np.ndarray, seed, checkpoint: str) -> None:
     else:
         pix = np.rint((values - lo) / span * 255).astype(int)
     h, w = values.shape
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("P2\n")
         fh.write(f"# seed={seed} checkpoint={checkpoint}\n")
         fh.write(f"{w} {h}\n255\n")
@@ -283,16 +296,3 @@ def map_iou(render: MapRender, values: np.ndarray, threshold: float) -> float:
     predicted = values <= threshold
     return region_iou(predicted, oracle)
 
-
-def best_map_iou(
-    render: MapRender, values: np.ndarray, thresholds: np.ndarray | None = None
-) -> tuple[float, float]:
-    """Best achievable IoU over a threshold grid; returns (iou, threshold)."""
-    if thresholds is None:
-        thresholds = threshold_grid()
-    best_iou, best_tau = -1.0, float(thresholds[0])
-    for tau in thresholds:
-        iou = map_iou(render, values, float(tau))
-        if iou > best_iou:
-            best_iou, best_tau = iou, float(tau)
-    return best_iou, best_tau

@@ -13,7 +13,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
-    "kron",
     "kron_all",
     "partial_trace",
     "partial_transpose",
@@ -23,11 +22,6 @@ __all__ = [
 ]
 
 HERMITICITY_TOL = 1e-9
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices (qubit 0 = most significant)."""
-    return np.kron(a, b)
 
 
 def kron_all(mats: Iterable[np.ndarray]) -> np.ndarray:

@@ -70,6 +70,7 @@ _PAIR_SWAP = np.array([0, 2, 1, 3])
 
 TRACE_GUARD = 1e-9
 DEFAULT_INIT_NOISE = 0.05
+ACTIVATIONS = ("relu", "tanh")
 FC_BIAS_SHIFT = 2.0
 
 
@@ -86,8 +87,8 @@ class SeparatorConfig:
             raise ValueError("n_k must be >= 1")
         if self.use_fc and self.fc_depth < 1:
             raise ValueError("fc_depth must be >= 1")
-        if self.activation not in ("relu", "tanh"):
-            raise ValueError("activation must be 'relu' or 'tanh'")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"activation must be one of {ACTIVATIONS}")
 
     @property
     def n_paths(self) -> int:
@@ -501,7 +502,7 @@ def export_kernels_csv(path: str, params: SeparatorParams) -> None:
                 for row in params.kernels[t, c, part]:
                     vals = ",".join(f"{x:.17g}" for x in row)
                     lines.append(f"{names[t]},{c},{pname},{vals}")
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

@@ -263,7 +263,3 @@ def map_states(pts: Sequence[MapPoint]) -> np.ndarray:
 def map_state(pt: MapPoint) -> np.ndarray:
     """Density matrix for a map point."""
     return map_states([pt])[0]
-
-
-def purity(rho: np.ndarray) -> float:
-    return float(np.real(np.trace(rho @ rho)))

@@ -17,8 +17,9 @@ import numpy as np
 
 from . import states
 from .errors import DataFormatError, RejectionLimitError, TrainingDivergedError
-from .oracles import (
-    CUTS,
+# perfbench/layers.py wraps classify and negativity as attributes of this
+# module; negativity is imported for that alone
+from .oracles import (  # noqa: F401
     ENTANGLED_FILTER_TOL,
     STATE_CLASSES,
     StateClass,
@@ -30,6 +31,7 @@ from .oracles import (
     negativity,
 )
 from .separator import (
+    DEFAULT_INIT_NOISE,
     SeparatorConfig,
     SeparatorParams,
     atomic_write,
@@ -80,6 +82,8 @@ PLANS = {
 }
 
 SUBSETS = ("Pure", "Prod", "ZD", "Sep", "NPS")
+OPTIMIZERS = ("adam", "sgd")
+VERIFY_FRACTION = 0.01  # share of records `verify_labels` relabels by default
 PURITY_TOL = 1e-8
 # Draws a rejection-sampling generator makes for one record before it gives
 # up. Each family accepts nearly every draw (2000-3000 records per family all
@@ -277,8 +281,10 @@ def gen_pure_entangled(rng: np.random.Generator, toggle: int = 0):
         else:
             psi = states.random_circuit_state(3, depth=4, entangling=True, rng=rng)
         rho = states.ket_to_dm(psi)
-        if max(negativity(rho, c) for c in CUTS) > ENTANGLED_FILTER_TOL:
-            return _record(rho, classify(rho))
+        labels = label_states(rho[None])
+        # the filter exceeds the oracle's flag threshold, so this is Entangled
+        if labels.negativity.max() > ENTANGLED_FILTER_TOL:
+            return _record(rho, labels.row(0))
     raise _draws_exhausted("pure_entangled")
 
 
@@ -327,11 +333,9 @@ def gen_mixed_entangled(rng: np.random.Generator, toggle: int = 0):
             rho = states.mix([states.ket_to_dm(k) for k in kets], rng.dirichlet(np.ones(m)))
         else:
             rho = states.reduce_from_larger(int(rng.integers(4, 6)), rng)
-        if max(negativity(rho, c) for c in CUTS) > ENTANGLED_FILTER_TOL:
-            label = classify(rho)
-            if label.klass is StateClass.ENTANGLED:
-                return _record(rho, label)
-        toggle += 4  # keep the source type while retrying
+        labels = label_states(rho[None])
+        if labels.negativity.max() > ENTANGLED_FILTER_TOL:  # so Entangled
+            return _record(rho, labels.row(0))
     raise _draws_exhausted("mixed_entangled")
 
 
@@ -414,7 +418,7 @@ def subset_filter(ds: Dataset, subset: str) -> Dataset:
     return Dataset(mats=ds.mats[m], labels=ds.labels[m], meta=dict(ds.meta, subset=subset))
 
 
-def verify_labels(ds: Dataset, fraction: float = 0.01, seed: int = 0) -> None:
+def verify_labels(ds: Dataset, fraction: float = VERIFY_FRACTION, seed: int = 0) -> None:
     """Re-derive labels for a sample; raise DataFormatError on any mismatch.
 
     The sample is labelled in one `label_states` pass. Records stored as
@@ -461,14 +465,14 @@ class TrainConfig:
     optimizer: str = "adam"
     subset: str = "Sep"
     seed: int = 0
-    init_noise: float = 0.05
+    init_noise: float = DEFAULT_INIT_NOISE
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError("optimizer must be 'adam' or 'sgd'")
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
         if self.subset not in SUBSETS:
             raise ValueError(f"subset must be one of {SUBSETS}")
         if self.epochs < 1 or self.batch_size < 1:

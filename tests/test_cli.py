@@ -328,3 +328,161 @@ class TestConfigPrecedence:
         code = run("gen", "--config", cfgp, "--kind", "product",
                    "--count", "5", "--out", out)
         assert code == 3
+
+
+# --- the settings contract of every subcommand ---------------------------------
+# (command, setting, value): the value differs from the setting's default.
+PRECEDENCE = [
+    ("gen", "seed", 31),
+    ("train", "batch", 60),
+    ("eval", "chunk", 200),
+    ("map", "chunk", 200),
+    ("kernels", "ckpt", None),  # None: the trained checkpoint
+    ("verify", "fraction", 0.5),
+]
+REQUIRED = [
+    ("gen", "kind"), ("gen", "count"), ("gen", "out"),
+    ("train", "train"), ("train", "val"), ("train", "out"),
+    ("eval", "data"), ("eval", "out-prefix"), ("eval", "ckpt"),
+    ("map", "ckpt"), ("map", "out-prefix"),
+    ("kernels", "ckpt"), ("kernels", "out"),
+    ("verify", "data"),
+]
+
+
+# (command, output suffix): every output the subcommands write besides the
+# QSD files and checkpoints, which test_training and test_separator cover
+OUTPUTS = [
+    ("gen", ".manifest.json"),
+    ("train", ".losses.csv"), ("train", ".manifest.json"),
+    ("eval", ".sweep.csv"), ("eval", ".means.csv"), ("eval", ".confusion.csv"),
+    ("eval", ".manifest.json"),
+    ("map", ".model.csv"), ("map", ".model.pgm"), ("map", ".baseline.csv"),
+    ("map", ".baseline.pgm"), ("map", ".manifest.json"),
+    ("kernels", ""), ("kernels", ".manifest.json"),
+]
+
+
+class DiskFull:
+    """A file whose first write stores 100 bytes, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:100])
+        raise OSError("disk full")
+
+
+def _without(argv, flag):
+    """argv with `flag` and the value after it removed."""
+    i = argv.index(flag)
+    return argv[:i] + argv[i + 2:]
+
+
+class TestSettingsContract:
+    @pytest.fixture
+    def command_argv(self, tmp_path, ckpt, train_qsd, val_qsd, mixed_qsd, product_qsd):
+        """Every required setting of a command given by flag, plus where its
+        manifest lands."""
+        out = str(tmp_path / "out")
+
+        def argv(command):
+            return {
+                "gen": (["--kind", "product", "--count", "5", "--out", out + ".qsd"],
+                        out + ".qsd.manifest.json"),
+                "train": (["--train", train_qsd, "--val", val_qsd, "--out", out + ".json",
+                           "--epochs", "1", "--nk", "4"], out + ".json.manifest.json"),
+                "eval": (["--ckpt", ckpt, "--data", mixed_qsd, "--out-prefix", out,
+                          "--tau", "0.01"], out + ".manifest.json"),
+                "map": (["--ckpt", ckpt, "--grid", "11", "--out-prefix", out],
+                        out + ".manifest.json"),
+                "kernels": (["--ckpt", ckpt, "--out", out + ".csv"], out + ".csv.manifest.json"),
+                "verify": (["--data", product_qsd], None),
+            }[command]
+
+        return argv
+
+    @staticmethod
+    def _resolved(command, argv, manifest, monkeypatch):
+        """The settings a successful run resolved: its manifest, or for
+        `verify` (no manifest) the arguments it verified with."""
+        seen = {}
+        if command == "verify":
+            monkeypatch.setattr(training, "verify_labels",
+                                lambda ds, fraction, seed: seen.update(fraction=fraction))
+        assert run(command, *argv) == 0
+        return seen if manifest is None else json.loads(Path(manifest).read_text())
+
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    @pytest.mark.parametrize("command,setting,value", PRECEDENCE)
+    def test_precedence(self, source, command, setting, value, command_argv, tmp_path, ckpt,
+                        monkeypatch):
+        """A config-file value beats the default; a flag beats the config file."""
+        value = ckpt if value is None else value
+        argv, manifest = command_argv(command)
+        flag = "--" + setting.replace("_", "-")
+        if flag in argv:
+            argv = _without(argv, flag)
+        config_value = value
+        if source == "flag":
+            config_value = str(tmp_path / "missing.json") if isinstance(value, str) else 2 * value
+            argv = argv + [flag, str(value)]
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({setting: config_value}))
+        got = self._resolved(command, argv + ["--config", str(cfgp)], manifest, monkeypatch)
+        assert got[setting] == value
+
+    @pytest.mark.parametrize("command,flag", REQUIRED)
+    def test_missing_required_exit_2(self, command, flag, command_argv, capsys):
+        argv, _ = command_argv(command)
+        assert run(command, *_without(argv, "--" + flag)) == 2
+        err = capsys.readouterr().err
+        assert "--" + flag in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command,setting,value", [
+        ("gen", "count", "many"), ("train", "optimizer", "lbfgs"), ("eval", "model", "oracle"),
+    ])
+    def test_bad_config_value_exit_2(self, command, setting, value, command_argv, tmp_path,
+                                     capsys):
+        # config values are converted and checked as the flag's would be
+        argv, _ = command_argv(command)
+        flag = "--" + setting
+        if flag in argv:
+            argv = _without(argv, flag)
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({setting: value}))
+        assert run(command, *argv, "--config", str(cfgp)) == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,suffix", OUTPUTS)
+    def test_failed_write_keeps_previous_output(self, command, suffix, command_argv,
+                                                monkeypatch):
+        argv, manifest = command_argv(command)
+        path = manifest[: -len(".manifest.json")] + suffix
+        real_open = open
+
+        def failing_open(file, *args, **kwargs):
+            fh = real_open(file, *args, **kwargs)
+            return DiskFull(fh) if file == path + ".tmp" else fh
+
+        def fails_to_write():
+            monkeypatch.setattr("builtins.open", failing_open)
+            with pytest.raises(OSError, match="disk full"):
+                run(command, *argv)
+            monkeypatch.undo()
+            assert not os.path.exists(path + ".tmp")
+
+        fails_to_write()
+        assert not os.path.exists(path)
+        assert run(command, *argv) == 0
+        before = Path(path).read_bytes()
+        fails_to_write()
+        assert Path(path).read_bytes() == before

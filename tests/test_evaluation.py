@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from qsep.evaluation import (
-    balanced_accuracy_from_counts,
-    best_map_iou,
     class_mean_losses,
     confusion_at,
     eval_losses,
@@ -47,17 +45,21 @@ def read_pgm(path):
     return w, h, maxval, vals
 
 
+def balanced_accuracy(tp, fn, tn, fp):
+    return 0.5 * (tp / (tp + fn) + tn / (tn + fp))
+
+
 class TestPublishedArithmetic:
     def test_entanglement_confusion_counts(self):
         # published confusion matrix at tau=0.0051: TP=20461, FN=942,
         # TN=30696, FP=12901 -> BA = (0.9560 + 0.7041) / 2 = 0.830
-        ba = balanced_accuracy_from_counts(tp=20461, fn=942, tn=30696, fp=12901)
+        ba = balanced_accuracy(tp=20461, fn=942, tn=30696, fp=12901)
         assert abs(ba - 0.830) <= 5e-4
 
     def test_discord_confusion_counts(self):
         # published confusion matrix at tau=0.0023: positives 38694 with
         # TP=35163, negatives 26306 with TN=25114 -> BA = 0.932
-        ba = balanced_accuracy_from_counts(
+        ba = balanced_accuracy(
             tp=35163, fn=38694 - 35163, tn=25114, fp=26306 - 25114
         )
         assert abs(ba - 0.932) <= 5e-4
@@ -234,9 +236,8 @@ class TestMap:
     def test_iou_bounds(self, small_map):
         v = map_iou(small_map, small_map.baseline, threshold=1e-6)
         assert 0.0 <= v <= 1.0
-        best, tau = best_map_iou(small_map, small_map.baseline)
-        assert 0.0 <= best <= 1.0
-        assert tau > 0
+        for tau in threshold_grid(20):
+            assert 0.0 <= map_iou(small_map, small_map.baseline, tau) <= 1.0
 
     @pytest.mark.parametrize("chunk", [7, 21 * 21 + 1])
     def test_chunk_invariant(self, ident_model, small_map, chunk):

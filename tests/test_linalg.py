@@ -4,7 +4,6 @@ import pytest
 from qsep.linalg import (
     check_density_matrix,
     hermitian_eig,
-    kron,
     kron_all,
     partial_trace,
     partial_transpose,
@@ -34,28 +33,30 @@ def random_herm(rng, d):
 
 
 class TestKron:
+    """kron_all of two factors: the Kronecker product, qubit 0 most significant."""
+
     def test_identity(self):
-        assert np.array_equal(kron(I2, I2), np.eye(4))
+        assert np.array_equal(kron_all([I2, I2]), np.eye(4))
 
     def test_basis_projectors(self):
-        got = kron(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        got = kron_all([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
         assert np.array_equal(got, np.diag([0.0, 1.0, 0.0, 0.0]))
 
     def test_sigma_z_expansion(self):
-        assert np.array_equal(kron(SZ, I2), np.diag([1.0, 1.0, -1.0, -1.0]))
+        assert np.array_equal(kron_all([SZ, I2]), np.diag([1.0, 1.0, -1.0, -1.0]))
 
     def test_associativity(self):
         rng = np.random.default_rng(0)
         a, b, c = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
-        left = kron(kron(a, b), c)
-        right = kron(a, kron(b, c))
+        left = kron_all([kron_all([a, b]), c])
+        right = kron_all([a, kron_all([b, c])])
         assert np.abs(left - right).max() <= 1e-14
 
     def test_index_formula(self):
         rng = np.random.default_rng(1)
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        out = kron(a, b)
+        out = kron_all([a, b])
         for i in range(2):
             for j in range(2):
                 for k in range(2):
@@ -95,7 +96,7 @@ class TestPartialTrace:
         parts = [random_dm(rng, 1) for _ in range(3)]
         rho = kron_all(parts)
         got = partial_trace(rho, keep=[0, 2])
-        want = kron(parts[0], parts[2])
+        want = np.kron(parts[0], parts[2])
         assert np.abs(got - want).max() <= 1e-12
 
     def test_keep_order_respected(self):
@@ -103,7 +104,7 @@ class TestPartialTrace:
         parts = [random_dm(rng, 1) for _ in range(3)]
         rho = kron_all(parts)
         got = partial_trace(rho, keep=[2, 0])
-        want = kron(parts[2], parts[0])
+        want = np.kron(parts[2], parts[0])
         assert np.abs(got - want).max() <= 1e-12
 
     def test_bad_dim_rejected(self):

@@ -13,7 +13,6 @@ from qsep.states import (
     map_state,
     map_states,
     mix,
-    purity,
     random_circuit_state,
     random_classical_state,
     random_mixed_product,
@@ -23,6 +22,10 @@ from qsep.states import (
     reduce_from_larger,
     u3,
 )
+
+
+def purity(rho):
+    return float(np.trace(rho @ rho).real)
 
 
 def ref_map_state(pt):
