@@ -13,7 +13,6 @@ from .oracles import (
     classify,
     label_states,
     negativity,
-    zero_discord_check,
 )
 from .separator import (
     SeparatorConfig,
@@ -39,7 +38,6 @@ __all__ = [
     "classify",
     "label_states",
     "negativity",
-    "zero_discord_check",
     "SeparatorConfig",
     "SeparatorParams",
     "baseline_losses",

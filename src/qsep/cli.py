@@ -87,6 +87,12 @@ def _threads(value) -> int:
     return n
 
 
+def _check_fraction(r: dict, key: str) -> None:
+    """A share of records to verify, checked before any file is read."""
+    if not 0.0 < r[key] <= 1.0:
+        raise ValueError(f"{_flag(key)} must be in (0, 1], got {r[key]}")
+
+
 def _write_manifest(path: str, resolved: dict) -> None:
     with atomic_write(path) as fh:
         json.dump(resolved, fh, indent=2, sort_keys=True)
@@ -110,6 +116,7 @@ def cmd_gen(r: dict) -> int:
 
 
 def cmd_train(r: dict) -> int:
+    _check_fraction(r, "verify_fraction")
     train_ds = training.load_qsd(r["train"])
     val_ds = training.load_qsd(r["val"])
     for ds in (train_ds, val_ds):
@@ -215,6 +222,7 @@ def cmd_kernels(r: dict) -> int:
 
 
 def cmd_verify(r: dict) -> int:
+    _check_fraction(r, "fraction")
     ds = training.load_qsd(r["data"])
     training.verify_labels(ds, fraction=r["fraction"], seed=r["seed"])
     counts = np.bincount(ds.klasses(), minlength=len(STATE_CLASSES))

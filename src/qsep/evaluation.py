@@ -22,7 +22,7 @@ from .separator import (
     forward_batch,
 )
 from .states import map_point, map_state, map_states  # noqa: F401
-from .training import BIT_SEPARABLE, BIT_ZERO_DISCORD, ENT_SHIFT
+from .training import unpack_labels
 
 DEFAULT_THRESHOLDS = 400
 THRESHOLD_RANGE = (1e-5, 1.0)
@@ -62,15 +62,11 @@ def eval_losses(
 
 
 def group_masks(labels: np.ndarray) -> dict[str, np.ndarray]:
-    labels = np.asarray(labels)
-    ent = ((labels >> ENT_SHIFT) & 0b111) != 0
-    zd = (labels & BIT_ZERO_DISCORD) != 0
-    return {
-        "separable": (labels & BIT_SEPARABLE) != 0,
-        "non_discordant": zd,
-        "discordant": ~zd,
-        "entangled": ent,
-    }
+    """Membership of each of GROUPS, from the decoded label bitfields."""
+    decoded = unpack_labels(labels)
+    ent = decoded.entangled_cut.any(axis=1)
+    zd = ~decoded.discordant_check.any(axis=1)
+    return {"separable": ~ent, "non_discordant": zd, "discordant": ~zd, "entangled": ent}
 
 
 def positives_for_mode(labels: np.ndarray, label_mode: str) -> np.ndarray:
@@ -78,15 +74,6 @@ def positives_for_mode(labels: np.ndarray, label_mode: str) -> np.ndarray:
         raise ValueError(f"label_mode must be one of {LABEL_MODES}")
     masks = group_masks(labels)
     return masks["discordant"] if label_mode == "discord" else masks["entangled"]
-
-
-def class_mean_losses(losses: np.ndarray, labels: np.ndarray) -> dict[str, float]:
-    """Mean loss per group; groups with no members are omitted."""
-    out = {}
-    for name, mask in group_masks(labels).items():
-        if mask.any():
-            out[name] = float(losses[mask].mean())
-    return out
 
 
 @dataclass
@@ -185,6 +172,7 @@ def write_sweep_csv(path: str, result: SweepResult, seed, checkpoint: str) -> No
 def write_class_means_csv(
     path: str, losses: np.ndarray, labels: np.ndarray, seed, checkpoint: str
 ) -> None:
+    """Count and mean loss of each group in GROUPS; empty groups are omitted."""
     masks = group_masks(labels)
     with atomic_write(path) as fh:
         fh.write(f"# seed={seed} checkpoint={checkpoint}\n")

@@ -9,8 +9,8 @@ Classes form the chain Product < NonDiscordant < Separable.
 
 Each criterion exists once, in array form over a stack (N, 8, 8):
 `negativities`, `zero_discord_flags` and `product_flags`; `label_states`
-combines them. The per-state functions (`negativity`, `zero_discord_check`,
-`is_product`, `classify`) are stacks of one.
+combines them. The per-state functions `negativity` and `classify` are
+stacks of one.
 """
 from __future__ import annotations
 
@@ -56,6 +56,7 @@ def class_code(entangled, product, discordant):
 
 @dataclass
 class StateLabel:
+    negativity: tuple[float, float, float]  # per cut; NaN where not computed
     entangled_cut: tuple[bool, bool, bool]
     discordant_check: tuple[bool, bool, bool, bool, bool, bool]
     is_product: bool
@@ -80,6 +81,7 @@ class StateLabels:
     def row(self, i: int) -> StateLabel:
         """State i's labels as Python values."""
         return StateLabel(
+            negativity=tuple(float(x) for x in self.negativity[i]),
             entangled_cut=tuple(bool(x) for x in self.entangled_cut[i]),
             discordant_check=tuple(bool(x) for x in self.discordant_check[i]),
             is_product=bool(self.is_product[i]),
@@ -205,17 +207,6 @@ def negativity(rho: np.ndarray, cut: int) -> float:
     """Sum of |negative eigenvalues| of the partial transpose over `cut`."""
     _check_cut(cut)
     return float(negativities(np.asarray(rho)[None], (cut,))[0, 0])
-
-
-def zero_discord_check(rho: np.ndarray, cut: int, measured_side: str) -> bool:
-    """True when rho has zero discord w.r.t. measurements on one side of a cut
-    (see `zero_discord_flags`)."""
-    return bool(zero_discord_flags(np.asarray(rho)[None], ((cut, measured_side),))[0, 0])
-
-
-def is_product(rho: np.ndarray, tol: float = PRODUCT_TOL) -> bool:
-    """True when rho equals the product of its single-qubit reductions."""
-    return bool(product_flags(np.asarray(rho)[None], tol)[0])
 
 
 def classify(rho: np.ndarray, known_separable: bool = False) -> StateLabel:

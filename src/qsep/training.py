@@ -21,9 +21,9 @@ from .errors import DataFormatError, RejectionLimitError, TrainingDivergedError
 # module; negativity is imported for that alone
 from .oracles import (  # noqa: F401
     ENTANGLED_FILTER_TOL,
-    STATE_CLASSES,
     StateClass,
     StateLabel,
+    StateLabels,
     class_code,
     classify,
     label_states,
@@ -43,6 +43,8 @@ from .separator import (
 )
 
 # --- label bitfield ---------------------------------------------------------
+# `pack_labels` and `unpack_labels` are the only code that knows this layout.
+# Bits 1-2 are derived from bits 3-11, so a valid bitfield round-trips.
 
 BIT_PRODUCT = 1 << 0
 BIT_SEPARABLE = 1 << 1
@@ -50,6 +52,8 @@ BIT_ZERO_DISCORD = 1 << 2
 ENT_SHIFT = 3  # bits 3..5: entanglement per cut
 DISC_SHIFT = 6  # bits 6..11: discord per (cut, measured side)
 VALID_LABEL_MASK = (1 << 12) - 1
+_ENT_BITS = 1 << (ENT_SHIFT + np.arange(3, dtype=np.uint16))
+_DISC_BITS = 1 << (DISC_SHIFT + np.arange(6, dtype=np.uint16))
 
 FULL_TRAIN = 530_000
 FULL_VAL = 50_000
@@ -91,41 +95,44 @@ PURITY_TOL = 1e-8
 MAX_DRAWS = 1000
 
 
+def pack_labels(labels: StateLabels) -> np.ndarray:
+    """(N,) uint16 bitfields of a stack of labels; a StateLabel packs as a
+    stack of one."""
+    ent = np.reshape(labels.entangled_cut, (-1, 3))
+    disc = np.reshape(labels.discordant_check, (-1, 6))
+    bits = (
+        np.reshape(labels.is_product, -1) * BIT_PRODUCT
+        | ~ent.any(axis=1) * BIT_SEPARABLE
+        | ~disc.any(axis=1) * BIT_ZERO_DISCORD
+        | ent @ _ENT_BITS
+        | disc @ _DISC_BITS
+    )
+    return bits.astype(np.uint16)
+
+
 def pack_label(label: StateLabel) -> int:
-    bits = 0
-    if label.is_product:
-        bits |= BIT_PRODUCT
-    if label.klass is not StateClass.ENTANGLED:
-        bits |= BIT_SEPARABLE
-    if not any(label.discordant_check):
-        bits |= BIT_ZERO_DISCORD
-    for i, flag in enumerate(label.entangled_cut):
-        bits |= int(flag) << (ENT_SHIFT + i)
-    for i, flag in enumerate(label.discordant_check):
-        bits |= int(flag) << (DISC_SHIFT + i)
-    return bits
+    """`pack_labels` of one label, as an int."""
+    return int(pack_labels(label)[0])
 
 
-def unpack_label(bits: int) -> StateLabel:
-    if bits & ~VALID_LABEL_MASK:
-        raise DataFormatError(f"label bitfield {bits:#06x} has reserved bits set")
-    ent = tuple(bool(bits >> (ENT_SHIFT + i) & 1) for i in range(3))
-    disc = tuple(bool(bits >> (DISC_SHIFT + i) & 1) for i in range(6))
-    prod = bool(bits & BIT_PRODUCT)
-    klass = STATE_CLASSES[class_code(any(ent), prod, any(disc))]
-    return StateLabel(entangled_cut=ent, discordant_check=disc, is_product=prod, klass=klass)
-
-
-def klass_of_bits(bits: np.ndarray) -> np.ndarray:
-    """Vectorized class codes, indices into STATE_CLASSES."""
+def unpack_labels(bits: np.ndarray) -> StateLabels:
+    """Flags and class codes of (N,) bitfields; negativity is not stored (NaN).
+    Raises DataFormatError if a bitfield sets a reserved bit."""
     bits = np.asarray(bits)
-    ent = ((bits >> ENT_SHIFT) & 0b111) != 0
-    disc = ((bits >> DISC_SHIFT) & 0b111111) != 0
+    reserved = np.flatnonzero(bits > VALID_LABEL_MASK)
+    if len(reserved):
+        raise DataFormatError(
+            f"label bitfield {int(bits[reserved[0]]):#06x} has reserved bits set"
+        )
+    # one row per bit, transposed back: reductions over a record's flags stay fast
+    ent = ((bits & _ENT_BITS[:, None]) != 0).T
+    disc = ((bits & _DISC_BITS[:, None]) != 0).T
     prod = (bits & BIT_PRODUCT) != 0
-    return np.asarray(class_code(ent, prod, disc), dtype=np.int8)
-
-
-KLASS_CODES = {k: i for i, k in enumerate(STATE_CLASSES)}
+    klass = class_code(ent.any(axis=1), prod, disc.any(axis=1)).astype(np.int8)
+    return StateLabels(
+        negativity=np.full(ent.shape, np.nan), entangled_cut=ent, discordant_check=disc,
+        is_product=prod, klass=klass,
+    )
 
 
 @dataclass
@@ -138,7 +145,7 @@ class Dataset:
         return len(self.labels)
 
     def klasses(self) -> np.ndarray:
-        return klass_of_bits(self.labels)
+        return unpack_labels(self.labels).klass
 
     def purities(self) -> np.ndarray:
         return np.einsum("bij,bji->b", self.mats, self.mats).real
@@ -189,12 +196,15 @@ def load_qsd(path: str) -> Dataset:
     rec = np.frombuffer(body, dtype=_RECORD_DTYPE)
     flat = rec["m"][:, 0::2] + 1j * rec["m"][:, 1::2]
     labels = rec["label"].astype(np.uint16)
-    bad = labels & ~np.uint16(VALID_LABEL_MASK)
-    if np.any(bad):
-        i = int(np.nonzero(bad)[0][0])
+    bad, what = np.flatnonzero(labels > VALID_LABEL_MASK), "has reserved bits"
+    if not len(bad):
+        bad = np.flatnonzero(pack_labels(unpack_labels(labels)) != labels)
+        what = "does not round-trip: its bits 1-2 disagree with bits 3-11"
+    if len(bad):
+        i = int(bad[0])
         off = _HEADER.size + i * _RECORD_DTYPE.itemsize + 128 * 8
         raise DataFormatError(
-            f"{path}: record {i} label {labels[i]:#06x} has reserved bits (byte offset {off})"
+            f"{path}: record {i} label {labels[i]:#06x} {what} (byte offset {off})"
         )
     return Dataset(mats=flat.reshape(count, 8, 8).copy(), labels=labels, meta={"path": path})
 
@@ -281,10 +291,10 @@ def gen_pure_entangled(rng: np.random.Generator, toggle: int = 0):
         else:
             psi = states.random_circuit_state(3, depth=4, entangling=True, rng=rng)
         rho = states.ket_to_dm(psi)
-        labels = label_states(rho[None])
+        label = classify(rho)
         # the filter exceeds the oracle's flag threshold, so this is Entangled
-        if labels.negativity.max() > ENTANGLED_FILTER_TOL:
-            return _record(rho, labels.row(0))
+        if max(label.negativity) > ENTANGLED_FILTER_TOL:
+            return _record(rho, label)
     raise _draws_exhausted("pure_entangled")
 
 
@@ -333,9 +343,9 @@ def gen_mixed_entangled(rng: np.random.Generator, toggle: int = 0):
             rho = states.mix([states.ket_to_dm(k) for k in kets], rng.dirichlet(np.ones(m)))
         else:
             rho = states.reduce_from_larger(int(rng.integers(4, 6)), rng)
-        labels = label_states(rho[None])
-        if labels.negativity.max() > ENTANGLED_FILTER_TOL:  # so Entangled
-            return _record(rho, labels.row(0))
+        label = classify(rho)
+        if max(label.negativity) > ENTANGLED_FILTER_TOL:  # so Entangled
+            return _record(rho, label)
     raise _draws_exhausted("mixed_entangled")
 
 
@@ -406,11 +416,12 @@ def subset_mask(ds: Dataset, subset: str) -> np.ndarray:
         return np.ones(len(ds), dtype=bool)
     if subset == "Pure":
         return ds.purities() >= 1.0 - PURITY_TOL
+    labels = unpack_labels(ds.labels)
     if subset == "Prod":
-        return (ds.labels & BIT_PRODUCT) != 0
+        return labels.is_product
     if subset == "ZD":
-        return (ds.labels & BIT_ZERO_DISCORD) != 0
-    return (ds.labels & BIT_PRODUCT) == 0  # NPS
+        return ~labels.discordant_check.any(axis=1)
+    return ~labels.is_product  # NPS
 
 
 def subset_filter(ds: Dataset, subset: str) -> Dataset:
@@ -426,32 +437,33 @@ def verify_labels(ds: Dataset, fraction: float = VERIFY_FRACTION, seed: int = 0)
     stay within ENTANGLED_FILTER_TOL on every cut. Errors name the first
     failing record in sample order.
     """
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     n = len(ds)
     if n == 0:
         return
     rng = np.random.default_rng(seed)
-    k = max(1, int(round(fraction * n)))
-    sample = rng.choice(n, size=min(k, n), replace=False)
-    bits = ds.labels[sample]
-    separable = klass_of_bits(bits) != KLASS_CODES[StateClass.ENTANGLED]
+    sample = rng.choice(n, size=max(1, round(fraction * n)), replace=False)
+    stored = ds.labels[sample]
+    separable = ~unpack_labels(stored).entangled_cut.any(axis=1)
     # nothing trusted here: every negativity is computed for the check below
     labels = label_states(ds.mats[sample])
-    fresh = labels.assuming_separable(separable)
+    recomputed = pack_labels(labels.assuming_separable(separable))
     max_neg = labels.negativity.max(axis=1)
-    for j, i in enumerate(sample):
-        stored = int(bits[j])
-        unpack_label(stored)  # rejects reserved bits
-        recomputed = pack_label(fresh.row(j))
-        if recomputed != stored:
-            raise DataFormatError(
-                f"label mismatch at record {i}: stored {stored:#06x},"
-                f" recomputed {recomputed:#06x}"
-            )
-        if separable[j] and max_neg[j] > ENTANGLED_FILTER_TOL:
-            raise DataFormatError(
-                f"record {i} is stored as separable ({stored:#06x})"
-                f" but has negativity {max_neg[j]:.3g}"
-            )
+    mismatch = recomputed != stored
+    bad = np.flatnonzero(mismatch | separable & (max_neg > ENTANGLED_FILTER_TOL))
+    if len(bad) == 0:
+        return
+    j = bad[0]
+    if mismatch[j]:
+        raise DataFormatError(
+            f"label mismatch at record {sample[j]}: stored {stored[j]:#06x},"
+            f" recomputed {recomputed[j]:#06x}"
+        )
+    raise DataFormatError(
+        f"record {sample[j]} is stored as separable ({stored[j]:#06x})"
+        f" but has negativity {max_neg[j]:.3g}"
+    )
 
 
 # --- training loop ----------------------------------------------------------

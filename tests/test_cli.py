@@ -157,6 +157,17 @@ class TestTrain:
         assert code == 2
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("fraction", ["0", "-3", "nan", "inf", "1.5"])
+    def test_verify_fraction_outside_unit_interval_exit_2(self, workdir, train_qsd, val_qsd,
+                                                          fraction, capsys):
+        out = str(workdir / "never3.json")
+        code = run("train", "--train", train_qsd, "--val", val_qsd, "--out", out,
+                   "--epochs", "1", "--verify-fraction", fraction)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--verify-fraction must be in (0, 1]" in err and "Traceback" not in err
+        assert not os.path.exists(out)
+
     def test_corrupt_dataset_exit_3(self, workdir, product_qsd):
         bad = str(workdir / "bad.qsd")
         raw = bytearray(Path(product_qsd).read_bytes())
@@ -279,6 +290,22 @@ class TestVerifyCmd:
         out = capsys.readouterr().out
         assert "100 records verified" in out
         assert "Product=100" in out
+
+    @pytest.mark.parametrize("fraction", ["0", "-3", "nan", "inf", "1.5"])
+    def test_fraction_outside_unit_interval_exit_2(self, product_qsd, fraction, capsys):
+        assert run("verify", "--data", product_qsd, "--fraction", fraction) == 2
+        err = capsys.readouterr().err
+        assert "--fraction must be in (0, 1]" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("bit", [1, 2])
+    def test_inconsistent_derived_bit_exit_3(self, workdir, product_qsd, bit, capsys):
+        path = str(workdir / f"flip{bit}.qsd")
+        raw = bytearray(Path(product_qsd).read_bytes())
+        off = 13 + 3 * 1026 + 1024  # the label of record 3
+        raw[off] ^= 1 << bit
+        Path(path).write_bytes(bytes(raw))
+        assert run("verify", "--data", path, "--fraction", "1.0") == 3
+        assert "record 3 label" in capsys.readouterr().err
 
     def test_corrupted_labels_exit_3(self, workdir, product_qsd):
         from qsep.training import load_qsd as _load, save_qsd as _save, Dataset

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from qsep.evaluation import (
-    class_mean_losses,
     confusion_at,
     eval_losses,
     group_masks,
@@ -153,25 +152,34 @@ class TestConfusion:
         assert m[0, 0] == sw.tn[0] and m[1, 0] == sw.fn[0]
 
 
-class TestClassMeans:
-    def test_zero_losses(self, mixed_set):
-        table = class_mean_losses(np.zeros(len(mixed_set)), mixed_set.labels)
-        assert all(v == 0.0 for v in table.values())
+def class_means(tmp_path, losses, labels):
+    """{class: (count, mean loss)} as `write_class_means_csv` writes them."""
+    p = tmp_path / "means.csv"
+    write_class_means_csv(str(p), losses, labels, seed=0, checkpoint="x")
+    rows = [ln.split(",") for ln in p.read_text().strip().split("\n")[2:]]
+    return {name: (int(count), float(mean)) for name, count, mean in rows}
 
-    def test_groups_and_means(self, mixed_set):
+
+class TestClassMeans:
+    def test_zero_losses(self, tmp_path, mixed_set):
+        table = class_means(tmp_path, np.zeros(len(mixed_set)), mixed_set.labels)
+        assert all(mean == 0.0 for _, mean in table.values())
+
+    def test_groups_and_means(self, tmp_path, mixed_set):
         losses = np.arange(len(mixed_set), dtype=float)
-        table = class_mean_losses(losses, mixed_set.labels)
+        table = class_means(tmp_path, losses, mixed_set.labels)
         assert set(table) == {"separable", "non_discordant", "discordant", "entangled"}
         masks = group_masks(mixed_set.labels)
-        for name, mean in table.items():
-            assert abs(mean - losses[masks[name]].mean()) <= 1e-12
+        for name, (count, mean) in table.items():
+            assert count == masks[name].sum()
+            assert mean == losses[masks[name]].mean()
 
     def test_discordant_group_includes_entangled(self, mixed_set):
         masks = group_masks(mixed_set.labels)
         assert np.all(masks["entangled"] <= masks["discordant"])
         assert np.all(masks["non_discordant"] <= masks["separable"])
 
-    def test_empty_class_absent(self):
+    def test_empty_class_absent(self, tmp_path):
         from qsep.oracles import classify
         from qsep.training import pack_label
 
@@ -181,7 +189,7 @@ class TestClassMeans:
             [pack_label(classify(m, known_separable=True)) for m in mats],
             dtype=np.uint16,
         )
-        table = class_mean_losses(np.zeros(6), labels)
+        table = class_means(tmp_path, np.zeros(6), labels)
         assert "entangled" not in table
 
     def test_baseline_products_tiny(self):

@@ -6,15 +6,14 @@ from qsep.oracles import (
     CHECKS,
     CUTS,
     NEGATIVITY_TOL,
-    SIDES,
     STATE_CLASSES,
     StateClass,
     classify,
-    is_product,
     label_states,
     negativities,
     negativity,
-    zero_discord_check,
+    product_flags,
+    zero_discord_flags,
 )
 from qsep.states import (
     haar_random_pure,
@@ -148,10 +147,7 @@ class TestNegativity:
 
 class TestZeroDiscord:
     def test_classical_mixture_all_six(self):
-        rho = classical_two_term()
-        for cut in CUTS:
-            for side in SIDES:
-                assert zero_discord_check(rho, cut, side)
+        assert zero_discord_flags(classical_two_term()[None]).all()
 
     def test_pointer_state_asymmetry(self):
         # half |0><0| x |00><00| plus half |+><+| x |11><11|: the first qubit's
@@ -164,13 +160,11 @@ class TestZeroDiscord:
         p11 = np.zeros((4, 4), dtype=complex)
         p11[3, 3] = 1.0
         rho = 0.5 * np.kron(zero, p00) + 0.5 * np.kron(plus, p11)
-        assert not zero_discord_check(rho, 0, "small")
-        assert zero_discord_check(rho, 0, "large")
+        flags = zero_discord_flags(rho[None], ((0, "small"), (0, "large")))
+        assert flags.tolist() == [[False, True]]
 
     def test_ghz_all_checks_fail(self):
-        for cut in CUTS:
-            for side in SIDES:
-                assert not zero_discord_check(ghz(), cut, side)
+        assert not zero_discord_flags(ghz()[None]).any()
 
     def test_local_unitary_covariance(self):
         # conjugating by U on the non-measured side never changes the verdict
@@ -184,39 +178,32 @@ class TestZeroDiscord:
             rho_rot = permute_qubits(
                 u_full @ permute_qubits(rho, [0, 1, 2]) @ u_full.conj().T, [0, 1, 2]
             )
-            want = zero_discord_check(rho, 0, "small")
-            got = zero_discord_check(rho_rot, 0, "small")
+            want, got = zero_discord_flags(np.stack([rho, rho_rot]), ((0, "small"),))[:, 0]
             assert want == got
 
     def test_product_basis_mixtures_pass_all_six(self):
         # a mixture diagonal in a product basis (a fully dephased state) has
         # zero discord under every check
         rng = np.random.default_rng(27)
-        for _ in range(20):
-            rho = random_classical_state(rng)
-            for cut in CUTS:
-                for side in SIDES:
-                    assert zero_discord_check(rho, cut, side)
+        mats = np.stack([random_classical_state(rng) for _ in range(20)])
+        assert zero_discord_flags(mats).all()
 
     def test_product_always_passes(self):
         rng = np.random.default_rng(3)
-        for _ in range(20):
-            rho = random_mixed_product(rng)
-            for cut in CUTS:
-                for side in SIDES:
-                    assert zero_discord_check(rho, cut, side)
+        mats = np.stack([random_mixed_product(rng) for _ in range(20)])
+        assert zero_discord_flags(mats).all()
 
 
 class TestIsProduct:
     def test_product(self):
         rng = np.random.default_rng(4)
-        assert is_product(random_mixed_product(rng))
+        assert product_flags(random_mixed_product(rng)[None])[0]
 
     def test_classical_mixture_not_product(self):
-        assert not is_product(classical_two_term())
+        assert not product_flags(classical_two_term()[None])[0]
 
     def test_ghz_not_product(self):
-        assert not is_product(ghz())
+        assert not product_flags(ghz()[None])[0]
 
 
 class TestClassify:
@@ -332,9 +319,9 @@ class TestBatchedCore:
         for rho in ds.mats:
             for cut in CUTS:
                 assert negativity(rho, cut) == ref_negativity(rho, cut)
-            for cut, side in CHECKS:
-                assert zero_discord_check(rho, cut, side) == ref_zero_discord_check(rho, cut, side)
-            assert is_product(rho) == ref_is_product(rho)
+            for j, (cut, side) in enumerate(CHECKS):
+                assert zero_discord_flags(rho[None])[0, j] == ref_zero_discord_check(rho, cut, side)
+            assert product_flags(rho[None])[0] == ref_is_product(rho)
             label = classify(rho)
             assert STATE_CLASSES.index(label.klass) == ref_classify(rho)[4]
 
@@ -361,6 +348,6 @@ class TestBatchedCore:
         with pytest.raises(ValueError):
             negativity(rho, 3)
         with pytest.raises(ValueError):
-            zero_discord_check(rho, 0, "middle")
+            zero_discord_flags(rho[None], ((0, "middle"),))
         with pytest.raises(ValueError):
             label_states(rho[None], chunk=0)

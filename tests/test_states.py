@@ -245,15 +245,12 @@ class TestMapFamily:
                 assert abs(purity(map_state(pt)) - 1.0) <= 1e-10
 
     def test_square_interior_zero_discord(self):
-        from qsep.oracles import SIDES, zero_discord_check
+        from qsep.oracles import zero_discord_flags
 
         for u, v in ((0.8, 1.2), (1.0, 1.0), (0.7, 1.3), (1.2, 1.4)):
             pt = map_point(u, v)
             assert pt.phi == 0.0 and pt.c_boost == 0.0 and 0.0 < pt.p <= 0.5
-            rho = map_state(pt)
-            for cut in CUTS:
-                for side in SIDES:
-                    assert zero_discord_check(rho, cut, side)
+            assert zero_discord_flags(map_state(pt)[None]).all()
 
     def test_mirror_symmetry(self):
         a = map_point(0.4, 1.7)

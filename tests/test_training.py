@@ -8,7 +8,7 @@ import pytest
 
 from qsep import states, training
 from qsep.errors import DataFormatError, RejectionLimitError, TrainingDivergedError
-from qsep.oracles import CUTS, StateClass, classify, negativity
+from qsep.oracles import CUTS, StateClass, class_code, classify, label_states, negativity
 from qsep.separator import SeparatorConfig, load_checkpoint
 from qsep.training import (
     BIT_PRODUCT,
@@ -26,12 +26,13 @@ from qsep.training import (
     load_qsd,
     mean_loss,
     pack_label,
+    pack_labels,
     save_qsd,
     save_qsd_csv,
     subset_filter,
     subset_mask,
     train,
-    unpack_label,
+    unpack_labels,
     verify_labels,
 )
 
@@ -54,15 +55,15 @@ class TestLabels:
         for _ in range(20):
             label = classify(ket_to_dm(random_separable_pure(rng)))
             bits = pack_label(label)
-            back = unpack_label(bits)
+            back = unpack_labels(np.array([bits], dtype=np.uint16)).row(0)
             assert back.is_product == label.is_product
             assert back.entangled_cut == label.entangled_cut
             assert back.discordant_check == label.discordant_check
             assert back.klass is label.klass
 
     def test_reserved_bits_rejected(self):
-        with pytest.raises(DataFormatError):
-            unpack_label(1 << 12)
+        with pytest.raises(DataFormatError, match="0x1000 has reserved bits"):
+            unpack_labels(np.array([0, 1 << 12]))
 
     def test_klass_codes(self, small_train):
         codes = small_train.klasses()
@@ -517,3 +518,121 @@ class TestTrainLoop:
             TrainConfig(subset="Everything")
         with pytest.raises(ValueError):
             TrainConfig(optimizer="lion")
+
+
+# --- reference for the label codec: the hand-shifted decoders it replaced ------
+
+
+def ref_klasses(bits):
+    ent = ((bits >> 3) & 0b111) != 0
+    disc = ((bits >> 6) & 0b111111) != 0
+    prod = (bits & BIT_PRODUCT) != 0
+    return np.asarray(class_code(ent, prod, disc), dtype=np.int8)
+
+
+def ref_group_masks(bits):
+    ent = ((bits >> 3) & 0b111) != 0
+    zd = (bits & BIT_ZERO_DISCORD) != 0
+    return {
+        "separable": (bits & BIT_SEPARABLE) != 0,
+        "non_discordant": zd,
+        "discordant": ~zd,
+        "entangled": ent,
+    }
+
+
+def ref_subset_mask(ds, subset):
+    if subset == "Sep":
+        return np.ones(len(ds), dtype=bool)
+    if subset == "Pure":
+        return ds.purities() >= 1.0 - 1e-8
+    if subset == "Prod":
+        return (ds.labels & BIT_PRODUCT) != 0
+    if subset == "ZD":
+        return (ds.labels & BIT_ZERO_DISCORD) != 0
+    return (ds.labels & BIT_PRODUCT) == 0  # NPS
+
+
+@pytest.fixture(scope="module")
+def every_kind():
+    return {kind: build_dataset(kind, 40, 3) for kind in PLANS}
+
+
+def flip_label_bit(path, record, bit):
+    """Flip one bit of a record's label in a saved QSD1 file; its byte offset."""
+    raw = bytearray(Path(path).read_bytes())
+    off = 13 + record * 1026 + 1024
+    struct.pack_into("<H", raw, off, struct.unpack_from("<H", raw, off)[0] ^ (1 << bit))
+    Path(path).write_bytes(bytes(raw))
+    return off
+
+
+class TestLabelCodec:
+    @pytest.mark.parametrize("kind", sorted(PLANS))
+    def test_stored_labels_round_trip(self, every_kind, kind):
+        ds = every_kind[kind]
+        assert np.array_equal(pack_labels(unpack_labels(ds.labels)), ds.labels)
+
+    @pytest.mark.parametrize("kind", sorted(PLANS))
+    def test_relabelled_states_pack_to_stored_bits(self, every_kind, kind):
+        ds = every_kind[kind]
+        separable = (ds.labels & BIT_SEPARABLE) != 0
+        assert np.array_equal(pack_labels(label_states(ds.mats, separable)), ds.labels)
+
+    def test_pack_label_is_pack_labels_of_one(self, every_kind):
+        ds = every_kind["s-mixed"]
+        labels = label_states(ds.mats)
+        assert [pack_label(labels.row(i)) for i in range(len(ds))] == pack_labels(labels).tolist()
+
+    def test_decoded_labels_match_a_fresh_labelling(self, every_kind):
+        ds = every_kind["s-mixed"]
+        fresh = label_states(ds.mats, (ds.labels & BIT_SEPARABLE) != 0)
+        decoded = unpack_labels(ds.labels)
+        for field in ("entangled_cut", "discordant_check", "is_product", "klass"):
+            assert np.array_equal(getattr(decoded, field), getattr(fresh, field)), field
+        assert np.isnan(decoded.negativity).all()
+
+    @pytest.mark.parametrize("kind", sorted(PLANS))
+    def test_decoders_match_hand_shifted_reference(self, every_kind, kind):
+        from qsep.evaluation import group_masks
+
+        ds = every_kind[kind]
+        assert np.array_equal(ds.klasses(), ref_klasses(ds.labels))
+        want = ref_group_masks(ds.labels)
+        got = group_masks(ds.labels)
+        assert list(got) == list(want)
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
+        for subset in training.SUBSETS:
+            assert np.array_equal(subset_mask(ds, subset), ref_subset_mask(ds, subset)), subset
+
+    @pytest.mark.parametrize("bit", [1, 2])
+    def test_inconsistent_derived_bit_named_offset(self, tmp_path, small_val, bit):
+        p = str(tmp_path / "a.qsd")
+        save_qsd(p, small_val)
+        off = flip_label_bit(p, 3, bit)
+        with pytest.raises(DataFormatError, match=rf"record 3 .*round-trip.*byte offset {off}"):
+            load_qsd(p)
+
+
+class TestVerifyFraction:
+    @pytest.mark.parametrize("fraction", [0.0, -3.0, float("nan"), float("inf"), 1.5])
+    def test_fraction_outside_unit_interval_rejected(self, small_val, fraction):
+        with pytest.raises(ValueError, match=r"fraction must be in \(0, 1\]"):
+            verify_labels(small_val, fraction=fraction)
+
+
+class TestEntangledGenerators:
+    @pytest.mark.parametrize("kind", ["pure-ent", "mixed-ent"])
+    def test_one_classify_call_per_draw(self, monkeypatch, kind):
+        calls = []
+        real = training.classify
+
+        def counting(rho, known_separable=False):
+            calls.append(known_separable)
+            return real(rho, known_separable)
+
+        monkeypatch.setattr(training, "classify", counting)
+        ds = build_dataset(kind, 8, 0)
+        assert len(calls) >= len(ds) and not any(calls)
+        assert np.all(ds.klasses() == 3)
