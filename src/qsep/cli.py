@@ -76,14 +76,19 @@ def _resolve(args: argparse.Namespace, settings: dict) -> dict:
 
 
 def _threads(value) -> int:
-    """--threads, else QSEP_THREADS, else the cpu count."""
+    """--threads, else QSEP_THREADS (an empty value counts as unset), else the
+    cpu count. An error names where the bad value came from."""
+    source = "--threads"
     if value is None:
-        value = os.environ.get("QSEP_THREADS")
+        value, source = os.environ.get("QSEP_THREADS") or None, "QSEP_THREADS"
     if value is None:
         return os.cpu_count() or 1
-    n = int(value)
+    try:
+        n = int(value)
+    except ValueError:
+        raise ValueError(f"{source} must be an integer, got {value!r}") from None
     if n < 1:
-        raise ValueError("--threads must be >= 1")
+        raise ValueError(f"{source} must be >= 1, got {n}")
     return n
 
 

@@ -17,12 +17,21 @@ decoder and the L1 loss are shared by the model and the partial-trace
 baseline, which is the same decoder fed the three single-qubit reductions as
 one channel.
 
+Matmul form: the kernels are scattered into one encoder matrix that maps
+[Re rho | Im rho] to the FC inputs of all three paths, so the encoder is one
+matrix product and its kernel gradient one product folded back through the
+same fixed index map. Activations are feature-major; tied paths are folded
+into the batch, one (w, 3 B) matrix through the shared FC stack, and untied
+paths are three stacked products. The decoder forms its products with the
+batch axis last and sums the channels in channel order.
+
 All gradients are derived by hand; finite differences are the test oracle,
 not part of this module.
 """
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import json
 import math
@@ -60,7 +69,6 @@ _INDEX_MAPS = np.array(
         [[i + 2 * k for k in range(4)] for i in range(2)],  # C: dilation 2
     ]
 )
-_GATHER = [m.reshape(8) for m in _INDEX_MAPS]
 
 # The kernel's 4-valued index packs the two complementary qubits as two bits.
 # Swapping those qubits permutes kernel indices 1 and 2; kernels invariant
@@ -130,13 +138,6 @@ class SeparatorParams:
             fc_b=None if self.fc_b is None else self.fc_b.copy(),
         )
 
-    def zeros_like(self) -> "SeparatorParams":
-        return SeparatorParams(
-            kernels=np.zeros_like(self.kernels),
-            fc_w=None if self.fc_w is None else np.zeros_like(self.fc_w),
-            fc_b=None if self.fc_b is None else np.zeros_like(self.fc_b),
-        )
-
 
 def symmetrize_pair_swap(kernels: np.ndarray) -> np.ndarray:
     """Average kernels with their complementary-pair-swapped conjugates."""
@@ -196,38 +197,110 @@ def _check_shapes(params: SeparatorParams, config: SeparatorConfig) -> None:
             raise ValueError(f"{name} shape {a.shape} != {want}")
 
 
-def _path_index(config: SeparatorConfig, t: int) -> int:
-    return 0 if config.tie_weights else t
+@functools.lru_cache(maxsize=8)
+def _encoder_index(n_k: int, n_paths: int) -> np.ndarray:
+    """The fixed scatter of kernel entries into the encoder matrix.
+
+    The encoder matrix E (3 w, 128), w = 8 n_k, maps x = [Re rho | Im rho]
+    (each row-major flattened) to the FC inputs of all three paths: column b
+    of E x^T holds, for state b, every path's w features, stacked in the FC
+    stack's row order (see `_paths_view`). Feature 8 c + 4 p + 2 i + j of path
+    t is entry (i, j) of channel c's part p (0 re, 1 im); kernel entry (k, q)
+    of that channel and part multiplies column 64 p + 8 g[4i+k] + g[4j+q] of
+    its row, where g is the path's row-index map. Every (t, c, p, i, j, k, q)
+    hits its own entry of E; the other 7/8 stay zero.
+
+    Returns the flat index into E of each kernel entry, ordered
+    (t, c, p, i, j, k, q), which is (paths, n_k, 2, 4, 4) kernels with the
+    output entry (i, j) inserted after the part axis.
+    """
+    t, c, p, i, j, k, q = np.indices((3, n_k, 2, 2, 2, 4, 4)).reshape(7, -1)
+    g = _INDEX_MAPS.reshape(3, 8)
+    feature = 8 * c + 4 * p + 2 * i + j
+    row = feature * 3 + t if n_paths == 1 else t * 8 * n_k + feature
+    dst = row * 128 + 64 * p + 8 * g[t, 4 * i + k] + g[t, 4 * j + q]
+    dst.flags.writeable = False
+    return dst
 
 
-def _act(z: np.ndarray, kind: str) -> np.ndarray:
-    return np.maximum(z, 0.0) if kind == "relu" else np.tanh(z)
+def _encoder_matrix(kernels: np.ndarray) -> np.ndarray:
+    """E, (3 w, 128): the kernels scattered through `_encoder_index`, tied
+    kernels to the three paths' row sets."""
+    n_paths, n_k = kernels.shape[:2]
+    e = np.zeros(3 * 8 * n_k * 128)
+    e[_encoder_index(n_k, n_paths)] = np.broadcast_to(
+        kernels[:, :, :, None], (3, n_k, 2, 4, 4, 4)
+    ).reshape(-1)
+    return e.reshape(-1, 128)
 
 
-def _act_prime(z: np.ndarray, kind: str) -> np.ndarray:
-    # subgradient 0 at the ReLU kink
+def _encoder_grad(ge: np.ndarray, n_paths: int) -> np.ndarray:
+    """Kernel gradient from the gradient of E: gather each kernel entry's
+    four output entries (i, j) through `_encoder_index` and sum them and,
+    for tied kernels, the three paths."""
+    n_k = ge.shape[0] // 24
+    g = ge.reshape(-1)[_encoder_index(n_k, n_paths)].reshape(3, n_k, 2, 4, 4, 4).sum(axis=3)
+    return g if n_paths == 3 else g.sum(axis=0, keepdims=True)
+
+
+def _paths_view(a: np.ndarray, n_k: int, n_paths: int) -> np.ndarray:
+    """(path, channel, part, entry, state) view of a (3 w, B) feature array.
+
+    Untied paths keep their rows apart, path-major, so the FC stack is three
+    stacked (w, B) products. Tied paths interleave path with feature, making
+    the array one (w, 3 B) matrix whose columns are the (path, state) pairs, so
+    the shared FC stack is one product per layer.
+    """
+    b = a.size // (24 * n_k)
+    if n_paths == 3:
+        return a.reshape(3, n_k, 2, 4, b)
+    return a.reshape(n_k, 2, 4, 3, b).transpose(3, 0, 1, 2, 4)
+
+
+def _activate(z: np.ndarray, kind: str) -> None:
+    """Apply the hidden-layer activation to z in place."""
     if kind == "relu":
-        return (z > 0.0).astype(float)
-    th = np.tanh(z)
-    return 1.0 - th * th
+        np.maximum(z, 0.0, out=z)
+    else:
+        np.tanh(z, out=z)
+
+
+def _act_prime(h: np.ndarray, kind: str) -> np.ndarray:
+    """The activation's derivative, from its output h = act(z)."""
+    # subgradient 0 at the ReLU kink: h > 0 exactly where z > 0
+    return h > 0.0 if kind == "relu" else 1.0 - h * h
 
 
 def _decode(factors: np.ndarray):
     """Unnormalized Kronecker sum with its normalization.
 
-    Returns (rho_hat, s, norm, guard): s is the (B, 8, 8) sum over channels
-    of factor_A (x) factor_B (x) factor_C, norm its real trace, or the channel
-    count where that trace is within TRACE_GUARD of zero (guard).
+    Returns (rho_hat, s, norm, guard, ft, ab): s is the (B, 8, 8) sum over
+    channels of factor_A (x) factor_B (x) factor_C, norm its real trace, or
+    the channel count where that trace is within TRACE_GUARD of zero (guard);
+    ft holds the factors state-last, (n_k, 3, 2, 2, B), and ab the products
+    factor_A (x) factor_B, (n_k, 4, 4, B).
+
+    The products are formed state-last, so every elementwise step runs along
+    the batch, and s is accumulated one channel at a time, in channel order:
+    it equals the per-channel sum of `linalg.kron_all(factors[b, c])` bit for
+    bit.
     """
     f = np.asarray(factors)
     b, n_k = f.shape[:2]
-    s = np.einsum(
-        "bcij,bckl,bcmn->bikmjln", f[:, :, 0], f[:, :, 1], f[:, :, 2]
-    ).reshape(b, 8, 8)
+    ft = np.ascontiguousarray(f.transpose(1, 2, 3, 4, 0))
+    ab = (ft[:, 0, :, None, :, None] * ft[:, 1, None, :, None, :]).reshape(n_k, 4, 4, b)
+    fc = ft[:, 2, None, None]  # (n_k, 1, 1, 2, 2, B)
+    s = np.zeros((4, 4, 2, 2, b), dtype=complex)  # (ik, jl, m, n, state)
+    term = np.empty_like(s)
+    for c in range(n_k):
+        np.multiply(ab[c, :, :, None, None], fc[c], out=term)
+        s += term
+    del term  # at most two (B, 8, 8) arrays are alive from here on
+    s = s.transpose(4, 0, 2, 1, 3).reshape(b, 8, 8)
     tr = np.einsum("bii->b", s).real
     guard = np.abs(tr) <= TRACE_GUARD
     norm = np.where(guard, float(n_k), tr)
-    return s / norm[:, None, None], s, norm, guard
+    return s / norm[:, None, None], s, norm, guard, ft, ab
 
 
 def decode(factors: np.ndarray) -> np.ndarray:
@@ -244,20 +317,6 @@ def loss(rhos: np.ndarray, rho_hats: np.ndarray) -> np.ndarray:
     return np.abs(rho_hats - rhos).sum(axis=(1, 2)) / 64.0
 
 
-def _fc_io(conv_re: np.ndarray, conv_im: np.ndarray) -> np.ndarray:
-    # (B, n_k, 2, 2) x2 -> (B, 8 n_k), per channel [re(4), im(4)]
-    b, n_k = conv_re.shape[:2]
-    return np.concatenate(
-        [conv_re.reshape(b, n_k, 4), conv_im.reshape(b, n_k, 4)], axis=2
-    ).reshape(b, 8 * n_k)
-
-
-def _fc_split(vec: np.ndarray, n_k: int) -> tuple[np.ndarray, np.ndarray]:
-    b = vec.shape[0]
-    v = vec.reshape(b, n_k, 8)
-    return v[..., :4].reshape(b, n_k, 2, 2), v[..., 4:].reshape(b, n_k, 2, 2)
-
-
 def forward_batch(
     rhos: np.ndarray,
     params: SeparatorParams,
@@ -269,56 +328,51 @@ def forward_batch(
     Returns (losses, rho_hat, factors) and, when want_cache, the intermediate
     tensors needed by `gradient`. Raises ValueError when the params do not
     have the shapes the config implies.
+
+    The encoder is one product with the encoder matrix (`_encoder_index`).
+    Activations are feature-major, (paths, w, 3 B / paths): tied paths are
+    one (w, 3 B) batch through the shared FC stack, untied paths three
+    stacked products (`_paths_view`). Without want_cache only the current
+    layer's activation is kept.
     """
     _check_shapes(params, config)
     rhos = np.asarray(rhos)
     if rhos.ndim == 2:
         rhos = rhos[None]
-    b = rhos.shape[0]
-    xre, xim = np.ascontiguousarray(rhos.real), np.ascontiguousarray(rhos.imag)
-    gathers, convs, fc_states, factors = [], [], [], []
-    for t in range(3):
-        g = _GATHER[t]
-        tre = xre[:, g[:, None], g[None, :]].reshape(b, 2, 4, 2, 4)
-        tim = xim[:, g[:, None], g[None, :]].reshape(b, 2, 4, 2, 4)
-        k = params.kernels[_path_index(config, t)]
-        conv_re = np.einsum("ckq,bikjq->bcij", k[:, 0], tre)
-        conv_im = np.einsum("ckq,bikjq->bcij", k[:, 1], tim)
-        gathers.append((tre, tim))
-        convs.append((conv_re, conv_im))
-        if config.use_fc:
-            tp = _path_index(config, t)
-            h = _fc_io(conv_re, conv_im)
-            hs, zs = [h], []
-            for l in range(config.fc_depth):
-                z = hs[-1] @ params.fc_w[tp, l].T + params.fc_b[tp, l]
-                zs.append(z)
-                hs.append(
-                    _act(z, config.activation) if l < config.fc_depth - 1 else z
-                )
-            fc_states.append((hs, zs))
-            fre, fim = _fc_split(hs[-1], config.n_k)
-        else:
-            fc_states.append(None)
-            fre, fim = conv_re, conv_im
-        factors.append(fre + 1j * fim)
-    stacked = np.stack(factors, axis=2)
-    rho_hat, s, norm, guard = _decode(stacked)
+    b, n_k, p = rhos.shape[0], config.n_k, config.n_paths
+    x = np.concatenate([rhos.real.reshape(b, 64), rhos.imag.reshape(b, 64)], axis=1)
+    h = _encoder_matrix(params.kernels) @ x.T
+    hs = []
+    if config.use_fc:
+        h = h.reshape(p, config.fc_width, -1)
+        for l in range(config.fc_depth):
+            if want_cache:
+                hs.append(h)
+            h = np.matmul(params.fc_w[:, l], h)
+            h += params.fc_b[:, l, :, None]
+            if l < config.fc_depth - 1:
+                _activate(h, config.activation)
+    out = _paths_view(h, n_k, p)
+    ft = np.empty((n_k, 3, 4, b), dtype=complex)
+    ft.real, ft.imag = out[:, :, 0].transpose(1, 0, 2, 3), out[:, :, 1].transpose(1, 0, 2, 3)
+    del h, out  # without a cache, free the last activation before decoding
+    factors = ft.reshape(n_k, 3, 2, 2, b).transpose(4, 0, 1, 2, 3)
+    rho_hat, s, norm, guard, ft, ab = _decode(factors)
     losses = loss(rhos, rho_hat)
     if not want_cache:
-        return losses, rho_hat, stacked
+        return losses, rho_hat, factors
     cache = {
         "rhos": rhos,
-        "gathers": gathers,
-        "convs": convs,
-        "fc_states": fc_states,
-        "factors": factors,
+        "x": x,
+        "hs": hs,
+        "ft": ft,
+        "ab": ab,
         "s": s,
         "guard": guard,
         "norm": norm,
         "rho_hat": rho_hat,
     }
-    return losses, rho_hat, stacked, cache
+    return losses, rho_hat, factors, cache
 
 
 def gradient(
@@ -330,7 +384,7 @@ def gradient(
     Returns (grads shaped like params, mean loss).
     """
     losses, _, _, cache = forward_batch(batch, params, config, want_cache=True)
-    b = cache["rhos"].shape[0]
+    b, n_k, p = cache["x"].shape[0], config.n_k, config.n_paths
     s, norm, guard = cache["s"], cache["norm"], cache["guard"]
     diff = cache["rho_hat"] - cache["rhos"]
     absd = np.abs(diff)
@@ -341,36 +395,31 @@ def gradient(
     corr = np.where(guard, 0.0, inner / (norm * norm))
     idx = np.arange(8)
     vc[:, idx, idx] -= corr[:, None]
-    v7 = vc.reshape(b, 2, 2, 2, 2, 2, 2)
-    fa, fb, fc = cache["factors"]
-    gfac = [
-        np.einsum("bikmjln,bckl,bcmn->bcij", v7, fb.conj(), fc.conj()),
-        np.einsum("bikmjln,bcij,bcmn->bckl", v7, fa.conj(), fc.conj()),
-        np.einsum("bikmjln,bcij,bckl->bcmn", v7, fa.conj(), fb.conj()),
-    ]
-    grads = params.zeros_like()
-    for t in range(3):
-        tp = _path_index(config, t)
-        gre, gim = gfac[t].real, gfac[t].imag
-        if config.use_fc:
-            hs, zs = cache["fc_states"][t]
-            gh = _fc_io(gre, gim)
-            for l in range(config.fc_depth - 1, -1, -1):
-                gz = (
-                    gh
-                    if l == config.fc_depth - 1
-                    else gh * _act_prime(zs[l], config.activation)
-                )
-                grads.fc_w[tp, l] += gz.T @ hs[l]
-                grads.fc_b[tp, l] += gz.sum(axis=0)
-                gh = gz @ params.fc_w[tp, l]
-            g_conv_re, g_conv_im = _fc_split(gh, config.n_k)
-        else:
-            g_conv_re, g_conv_im = gre, gim
-        tre, tim = cache["gathers"][t]
-        grads.kernels[tp, :, 0] += np.einsum("bcij,bikjq->ckq", g_conv_re, tre)
-        grads.kernels[tp, :, 1] += np.einsum("bcij,bikjq->ckq", g_conv_im, tim)
-    return grads, float(losses.mean())
+    # decoder adjoint, state-last: v[ik, jl, m, n, b] = vc[b, (i k m), (j l n)]
+    v = np.ascontiguousarray(vc.reshape(b, 4, 2, 4, 2).transpose(1, 3, 2, 4, 0))
+    fj = cache["ft"].conj()
+    t = np.einsum("qwmnb,cmnb->cqwb", v, fj[:, 2]).reshape(n_k, 2, 2, 2, 2, b)
+    gfac = np.empty((3, n_k, 2, 2, b), dtype=complex)
+    np.einsum("cikjlb,cklb->cijb", t, fj[:, 1], out=gfac[0])
+    np.einsum("cikjlb,cijb->cklb", t, fj[:, 0], out=gfac[1])
+    np.einsum("cqwb,qwmnb->cmnb", cache["ab"].conj(), v, out=gfac[2])
+    gh = np.empty((3 * config.fc_width, b))
+    gv = _paths_view(gh, n_k, p)
+    gfac = gfac.reshape(3, n_k, 4, b)
+    gv[:, :, 0], gv[:, :, 1] = gfac.real, gfac.imag
+    fc_w = fc_b = None
+    if config.use_fc:
+        fc_w, fc_b = np.empty_like(params.fc_w), np.empty_like(params.fc_b)
+        gh = gh.reshape(p, config.fc_width, -1)
+        hs = cache["hs"]
+        for l in range(config.fc_depth - 1, -1, -1):
+            if l < config.fc_depth - 1:
+                gh *= _act_prime(hs[l + 1], config.activation)
+            np.matmul(gh, hs[l].transpose(0, 2, 1), out=fc_w[:, l])
+            gh.sum(axis=2, out=fc_b[:, l])
+            gh = np.matmul(params.fc_w[:, l].transpose(0, 2, 1), gh)
+    kernels = _encoder_grad(gh.reshape(-1, b) @ cache["x"], p)
+    return SeparatorParams(kernels=kernels, fc_w=fc_w, fc_b=fc_b), float(losses.mean())
 
 
 def baseline_losses(rhos: np.ndarray) -> np.ndarray:

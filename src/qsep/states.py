@@ -251,9 +251,14 @@ def map_states(pts: Sequence[MapPoint]) -> np.ndarray:
     psi1 = np.stack([a, s], axis=1).astype(complex)
     psi2 = np.stack([np.exp(-0.5j * phi) * s, -a * np.exp(0.5j * phi)], axis=1)
     k1, k2 = _kron3(psi1), _kron3(psi2)
-    dm1 = k1[:, :, None] * k1.conj()[:, None, :]
+    # p dm1 + (1-p) dm2 by the same products, written in place so that at
+    # most two (N, 8, 8) arrays are alive
+    rho = k1[:, :, None] * k1.conj()[:, None, :]
+    np.multiply(p, rho, out=rho)
     dm2 = k2[:, :, None] * k2.conj()[:, None, :]
-    rho = p * dm1 + (1.0 - p) * dm2
+    np.multiply(1.0 - p, dm2, out=dm2)
+    rho += dm2
+    del dm2
     boost = np.flatnonzero(c > 0.0)
     if len(boost):
         rho[boost] = boost_largest_eigenvalue(rho[boost], c[boost])

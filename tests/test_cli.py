@@ -238,6 +238,38 @@ class TestEval:
             Path(p1 + ".sweep.csv").read_text() == Path(base + ".sweep.csv").read_text()
         )
 
+    @pytest.mark.parametrize("command", ["eval", "map"])
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_threads_env_names_variable(self, workdir, ckpt, mixed_qsd, monkeypatch,
+                                            capsys, command, value):
+        monkeypatch.setenv("QSEP_THREADS", value)
+        prefix = str(workdir / f"badenv_{command}_{value}")
+        argv = ["--ckpt", ckpt, "--out-prefix", prefix]
+        argv += ["--data", mixed_qsd] if command == "eval" else ["--grid", "5"]
+        assert run(command, *argv) == 2
+        err = capsys.readouterr().err
+        assert "QSEP_THREADS" in err and "--threads" not in err
+        assert not os.path.exists(prefix + ".manifest.json")
+
+    def test_empty_threads_env_is_unset(self, workdir, ckpt, mixed_qsd, monkeypatch):
+        prefixes = []
+        for value in ("", None):
+            if value is None:
+                monkeypatch.delenv("QSEP_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("QSEP_THREADS", value)
+            prefixes.append(str(workdir / f"emptyenv_{value is None}"))
+            assert run("eval", "--ckpt", ckpt, "--data", mixed_qsd, "--out-prefix", prefixes[-1]) == 0
+        sweeps = [Path(p + ".sweep.csv").read_text() for p in prefixes]
+        assert sweeps[0] == sweeps[1]
+
+    def test_bad_threads_flag_names_flag(self, workdir, ckpt, mixed_qsd, capsys):
+        prefix = str(workdir / "badflag")
+        code = run("eval", "--ckpt", ckpt, "--data", mixed_qsd, "--out-prefix", prefix,
+                   "--threads", "0")
+        assert code == 2
+        assert "--threads must be >= 1" in capsys.readouterr().err
+
 
     @pytest.mark.parametrize("tamper", ["fc_vs_use_fc", "fc_shape", "nan_kernel"])
     def test_invalid_checkpoint_exit_3(self, workdir, ckpt, mixed_qsd, tamper, capsys):

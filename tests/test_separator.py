@@ -1,6 +1,7 @@
 import base64
 import json
 import os
+import tracemalloc
 from itertools import permutations
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from qsep.separator import (
     baseline_losses,
     decode,
     forward_batch,
+    gradient,
     init_params,
     load_checkpoint,
     loss,
@@ -23,7 +25,9 @@ from qsep.separator import (
 )
 from qsep import separator
 from qsep.separator import _encode_array
-from qsep.states import random_mixed_product
+from qsep.states import haar_random_pure, ket_to_dm, random_mixed_product
+from qsep.training import TrainConfig, _Adam
+from test_gradient import CONFIGS, make_batch
 
 
 def ghz_dm():
@@ -62,6 +66,119 @@ def reference_baseline(rho):
     hat = kron_all([partial_trace(rho, keep=[q]) for q in range(3)])
     hat = hat / np.trace(hat).real
     return hat, float(np.abs(hat - rho).sum() / 64.0)
+
+
+# --- reference: the model as per-path einsums, as written before the matmul form
+
+REF_GATHER = [m.reshape(8) for m in separator._INDEX_MAPS]
+
+
+def ref_fc_io(conv_re, conv_im):
+    # (B, n_k, 2, 2) x2 -> (B, 8 n_k), per channel [re(4), im(4)]
+    b, n_k = conv_re.shape[:2]
+    return np.concatenate(
+        [conv_re.reshape(b, n_k, 4), conv_im.reshape(b, n_k, 4)], axis=2
+    ).reshape(b, 8 * n_k)
+
+
+def ref_fc_split(vec, n_k):
+    v = vec.reshape(vec.shape[0], n_k, 8)
+    return v[..., :4].reshape(-1, n_k, 2, 2), v[..., 4:].reshape(-1, n_k, 2, 2)
+
+
+def ref_act(z, kind):
+    return np.maximum(z, 0.0) if kind == "relu" else np.tanh(z)
+
+
+def ref_act_prime(z, kind):
+    if kind == "relu":
+        return (z > 0.0).astype(float)
+    th = np.tanh(z)
+    return 1.0 - th * th
+
+
+def ref_decode(f):
+    n_k = f.shape[1]
+    s = np.einsum(
+        "bcij,bckl,bcmn->bikmjln", f[:, :, 0], f[:, :, 1], f[:, :, 2]
+    ).reshape(-1, 8, 8)
+    tr = np.einsum("bii->b", s).real
+    guard = np.abs(tr) <= separator.TRACE_GUARD
+    norm = np.where(guard, float(n_k), tr)
+    return s / norm[:, None, None], s, norm, guard
+
+
+def ref_forward(rhos, params, config):
+    """(losses, rho_hat, factors, cache) of the per-path einsum model."""
+    b = rhos.shape[0]
+    xre, xim = np.ascontiguousarray(rhos.real), np.ascontiguousarray(rhos.imag)
+    gathers, fc_states, factors = [], [], []
+    for t in range(3):
+        g = REF_GATHER[t]
+        tre = xre[:, g[:, None], g[None, :]].reshape(b, 2, 4, 2, 4)
+        tim = xim[:, g[:, None], g[None, :]].reshape(b, 2, 4, 2, 4)
+        tp = 0 if config.tie_weights else t
+        k = params.kernels[tp]
+        conv_re = np.einsum("ckq,bikjq->bcij", k[:, 0], tre)
+        conv_im = np.einsum("ckq,bikjq->bcij", k[:, 1], tim)
+        gathers.append((tre, tim))
+        if config.use_fc:
+            hs, zs = [ref_fc_io(conv_re, conv_im)], []
+            for l in range(config.fc_depth):
+                z = hs[-1] @ params.fc_w[tp, l].T + params.fc_b[tp, l]
+                zs.append(z)
+                hs.append(ref_act(z, config.activation) if l < config.fc_depth - 1 else z)
+            fc_states.append((hs, zs))
+            fre, fim = ref_fc_split(hs[-1], config.n_k)
+        else:
+            fc_states.append(None)
+            fre, fim = conv_re, conv_im
+        factors.append(fre + 1j * fim)
+    stacked = np.stack(factors, axis=2)
+    rho_hat, s, norm, guard = ref_decode(stacked)
+    cache = {"gathers": gathers, "fc_states": fc_states, "factors": factors,
+             "s": s, "norm": norm, "guard": guard}
+    return loss(rhos, rho_hat), rho_hat, stacked, cache
+
+
+def ref_gradient(params, config, batch):
+    """(grads, mean loss) of the per-path einsum model."""
+    losses, rho_hat, _, cache = ref_forward(batch, params, config)
+    b = batch.shape[0]
+    s, norm, guard = cache["s"], cache["norm"], cache["guard"]
+    diff = rho_hat - batch
+    absd = np.abs(diff)
+    wadj = np.where(absd > 0.0, diff / np.where(absd == 0.0, 1.0, absd), 0.0)
+    wadj = wadj / (64.0 * b)
+    inner = np.einsum("bij,bij->b", wadj.conj(), s).real
+    vc = wadj / norm[:, None, None]
+    corr = np.where(guard, 0.0, inner / (norm * norm))
+    idx = np.arange(8)
+    vc[:, idx, idx] -= corr[:, None]
+    v7 = vc.reshape(b, 2, 2, 2, 2, 2, 2)
+    fa, fb, fc = cache["factors"]
+    gfac = [
+        np.einsum("bikmjln,bckl,bcmn->bcij", v7, fb.conj(), fc.conj()),
+        np.einsum("bikmjln,bcij,bcmn->bckl", v7, fa.conj(), fc.conj()),
+        np.einsum("bikmjln,bcij,bckl->bcmn", v7, fa.conj(), fb.conj()),
+    ]
+    grads = [np.zeros_like(a) for a in params.arrays()]
+    for t in range(3):
+        tp = 0 if config.tie_weights else t
+        gre, gim = gfac[t].real, gfac[t].imag
+        if config.use_fc:
+            hs, zs = cache["fc_states"][t]
+            gh = ref_fc_io(gre, gim)
+            for l in range(config.fc_depth - 1, -1, -1):
+                gz = gh if l == config.fc_depth - 1 else gh * ref_act_prime(zs[l], config.activation)
+                grads[1][tp, l] += gz.T @ hs[l]
+                grads[2][tp, l] += gz.sum(axis=0)
+                gh = gz @ params.fc_w[tp, l]
+            gre, gim = ref_fc_split(gh, config.n_k)
+        tre, tim = cache["gathers"][t]
+        grads[0][tp, :, 0] += np.einsum("bcij,bikjq->ckq", gre, tre)
+        grads[0][tp, :, 1] += np.einsum("bcij,bikjq->ckq", gim, tim)
+    return grads, float(losses.mean())
 
 
 class TestConfig:
@@ -571,3 +688,76 @@ class TestCheckpoint:
         assert lines[0] == "path,channel,part,k0,k1,k2,k3"
         # 1 path x 2 channels x 2 parts x 4 rows
         assert len(lines) == 1 + 16
+
+
+class TestParentReference:
+    """The matmul-form model against the per-path einsum model above."""
+
+    BATCHES = (1, 32, 600)
+
+    @staticmethod
+    def params_for(cfg, trained):
+        rng = np.random.default_rng(40)
+        params = init_params(cfg, rng)
+        if trained:
+            opt = _Adam(params.arrays(), TrainConfig())
+            data = make_batch(rng, n=256)
+            for step in range(100):
+                idx = rng.choice(len(data), size=32, replace=False)
+                opt.step(params.arrays(), gradient(params, cfg, data[idx])[0].arrays())
+        return params
+
+    @pytest.mark.parametrize("trained", [False, True], ids=["init", "adam100"])
+    @pytest.mark.parametrize("kwargs", CONFIGS, ids=[str(c) for c in CONFIGS])
+    def test_matches_einsum_model(self, kwargs, trained):
+        cfg = SeparatorConfig(n_k=8, **kwargs)
+        params = self.params_for(cfg, trained)
+        rng = np.random.default_rng(41)
+        for b in self.BATCHES:
+            batch = make_batch(rng, n=b) if b > 1 else random_dm(rng)[None]
+            losses, hats, factors = forward_batch(batch, params, cfg)
+            want_losses, want_hats, want_factors, _ = ref_forward(batch, params, cfg)
+            for got, want in ((losses, want_losses), (hats, want_hats), (factors, want_factors)):
+                assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+            grads, mean = gradient(params, cfg, batch)
+            want_grads, want_mean = ref_gradient(params, cfg, batch)
+            assert abs(mean - want_mean) <= 1e-12 * max(1.0, abs(want_mean))
+            for got, want in zip(grads.arrays(), want_grads):
+                assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+class TestDecoderExact:
+    def test_sum_equals_per_channel_kron_all(self):
+        # gate 7's form check at noise 0.3, over 20 parameter draws: the
+        # unnormalized sum must be the per-channel kron_all sum bit for bit
+        for seed in range(20):
+            rng = np.random.default_rng(100 + seed)
+            cfg = SeparatorConfig(n_k=5)
+            params = init_params(cfg, rng, noise=0.3)
+            rhos = np.stack([ket_to_dm(haar_random_pure(3, rng)) for _ in range(20)])
+            factors = forward_batch(rhos, params, cfg)[2]
+            s = separator._decode(factors)[1]
+            for n in range(len(rhos)):
+                want = np.zeros((8, 8), dtype=complex)
+                for c in range(cfg.n_k):
+                    want += kron_all(factors[n, c])
+                assert np.array_equal(s[n], want), (seed, n)
+
+
+class TestForwardMemory:
+    def test_forward_only_peak(self):
+        # a forward-only pass keeps only the current layer's activation: its
+        # traced peak stays within 6 (3, B, 8 n_k) float64 activations
+        cfg = SeparatorConfig(n_k=48)
+        rng = np.random.default_rng(42)
+        params = init_params(cfg, rng)
+        rhos = np.stack([random_dm(rng) for _ in range(512)])
+        forward_batch(rhos[:2], params, cfg)
+        tracemalloc.start()
+        try:
+            forward_batch(rhos, params, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        activation = 3 * 512 * cfg.fc_width * 8
+        assert peak <= 6 * activation, f"peak {peak / activation:.2f} activations"
