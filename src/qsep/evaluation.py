@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -38,6 +39,26 @@ def threshold_grid(
     return np.logspace(np.log10(lo), np.log10(hi), n)
 
 
+def _spans(n: int, chunk: int) -> list[tuple[int, int]]:
+    return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+
+
+def _run_tasks(tasks: list, threads: int) -> list:
+    """Results of the zero-argument `tasks`, in task order. With threads > 1
+    they run on one pool of that many workers, which takes them in order;
+    otherwise one after another, in order."""
+    if threads <= 1 or len(tasks) <= 1:
+        return [task() for task in tasks]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(lambda task: task(), tasks))
+
+
+def _model_losses(
+    rhos: np.ndarray, params: SeparatorParams, config: SeparatorConfig
+) -> np.ndarray:
+    return forward_batch(rhos, params, config)[0]
+
+
 def eval_losses(
     mats: np.ndarray,
     params: SeparatorParams,
@@ -47,17 +68,9 @@ def eval_losses(
 ) -> np.ndarray:
     """Model reconstruction loss per state. Threading only distributes chunks; the
     per-chunk math and the output order are identical for any thread count."""
-    spans = [(i, min(i + chunk, len(mats))) for i in range(0, len(mats), chunk)]
-
-    def run(span: tuple[int, int]) -> np.ndarray:
-        losses, _, _ = forward_batch(mats[span[0] : span[1]], params, config)
-        return losses
-
-    if threads <= 1 or len(spans) <= 1:
-        parts = [run(s) for s in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, spans))
+    tasks = [partial(_model_losses, mats[lo:hi], params, config)
+             for lo, hi in _spans(len(mats), chunk)]
+    parts = _run_tasks(tasks, threads)
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
@@ -214,18 +227,34 @@ def render_map(
 ) -> MapRender:
     """Evaluate the model and the factored-reduction baseline over the
     two-parameter state family on a regular grid of [0, 2] x [0, 2], and
-    label each state with the oracle, `chunk` states per oracle pass."""
+    label each state with the oracle.
+
+    Each `chunk`-sized span of the grid is three tasks (model, baseline,
+    oracle), all queued on one pool of `threads` workers, so the oracle and
+    the baseline run beside the model. Every task's math is per state, so
+    the result is the same for any chunk and thread count.
+    """
     if grid < 11:
         raise ValueError("grid must be >= 11")
     us = np.linspace(0.0, 2.0, grid)
     vs = np.linspace(0.0, 2.0, grid)
     pts = [map_point(u, v) for v in vs for u in us]
     mats = map_states(pts)
-    losses = eval_losses(mats, params, config, chunk=chunk, threads=threads)
-    base = baseline_losses(mats)
     # unboosted cells are two-term mixtures of product kets: separable by construction
     known_separable = np.array([pt.c_boost == 0.0 for pt in pts])
-    codes = label_states(mats, known_separable, chunk=chunk).klass
+    del pts  # 2.5 MB of point objects at grid 101 that no task reads
+    tasks = []
+    for lo, hi in _spans(len(mats), chunk):
+        part = mats[lo:hi]
+        tasks += [
+            partial(_model_losses, part, params, config),
+            partial(baseline_losses, part),
+            partial(label_states, part, known_separable[lo:hi], chunk=chunk),
+        ]
+    results = _run_tasks(tasks, threads)
+    losses = np.concatenate(results[0::3])
+    base = np.concatenate(results[1::3])
+    codes = np.concatenate([labels.klass for labels in results[2::3]])
     names = np.array([k.value for k in STATE_CLASSES], dtype=object)[codes]
     g = (grid, grid)
     return MapRender(

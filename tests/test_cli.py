@@ -230,10 +230,12 @@ class TestEval:
         assert code == 2
 
     def test_threads_env(self, workdir, ckpt, mixed_qsd, monkeypatch):
+        base = str(workdir / "dt1")
+        argv = ["--ckpt", ckpt, "--data", mixed_qsd]
+        assert run("eval", *argv, "--out-prefix", base, "--threads", "1") == 0
         monkeypatch.setenv("QSEP_THREADS", "3")
         p1 = str(workdir / "dt")
-        assert run("eval", "--ckpt", ckpt, "--data", mixed_qsd, "--out-prefix", p1) == 0
-        base = str(workdir / "d1")
+        assert run("eval", *argv, "--out-prefix", p1) == 0
         assert (
             Path(p1 + ".sweep.csv").read_text() == Path(base + ".sweep.csv").read_text()
         )

@@ -1,4 +1,5 @@
 """Threshold sweeps, confusion matrices, class means, and the 2D map."""
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -254,6 +255,35 @@ class TestMap:
         render = render_map(params, cfg, grid=21, chunk=chunk)
         for field in ("losses", "baseline", "klasses", "klass_names"):
             assert np.array_equal(getattr(render, field), getattr(small_map, field)), field
+
+    @pytest.mark.parametrize("chunk", [7, 512])
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_threads_match_serial(self, ident_model, small_map, threads, chunk):
+        # small_map is the serial render (threads 1, chunk 512), and
+        # test_chunk_invariant renders serially at other chunks
+        params, cfg = ident_model
+        render = render_map(params, cfg, grid=21, chunk=chunk, threads=threads)
+        for field in ("losses", "baseline", "klasses", "klass_names"):
+            assert np.array_equal(getattr(render, field), getattr(small_map, field)), field
+
+    def test_peak_memory(self):
+        # the grid's states are one (N, 8, 8) complex array, 1 unit; two
+        # workers keep at most two chunk tasks alive beside it, and a model
+        # chunk of 512 at n_k=48 peaks near 1.3 units at grid 101, so the
+        # traced peak stays within 3.75 units (4.1 when the point objects
+        # stayed alive and the model chunks all ran side by side)
+        cfg = SeparatorConfig(n_k=48)
+        params = init_params(cfg, np.random.default_rng(0))
+        grid = 101
+        render_map(params, cfg, grid=11, threads=2)
+        tracemalloc.start()
+        try:
+            render_map(params, cfg, grid=grid, threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        unit = grid * grid * 64 * 16
+        assert peak <= 3.75 * unit, peak / unit
 
     def test_oracle_iou_perfect_for_oracle_values(self, small_map):
         # a loss field that is 0 exactly on the non-discordant region and 1

@@ -27,7 +27,7 @@ from qsep.states import (
     random_product_mixture,
     random_separable_pure,
 )
-from qsep.training import BIT_SEPARABLE, build_s_mixed, build_separable_set
+from qsep.training import BIT_SEPARABLE, PLANS, build_dataset, build_s_mixed, build_separable_set
 
 # --- reference: the oracle one state at a time, as written before the batched core
 
@@ -51,6 +51,34 @@ def ref_zero_discord_check(rho, cut, measured_side):
         return False
     prod = np.einsum("iab,jbc->ijac", blocks, blocks)
     return bool(np.abs(prod - prod.transpose(1, 0, 2, 3)).max() <= eps)
+
+
+def ref_commutator_max(rhos, cut, side):
+    """(N,) max |[B_i, B_j]| over every block pair of one check, from the dense
+    block product: the batched check as written before the 2x2 closed form."""
+    pair = [q for q in CUTS if q != cut]
+    n = len(rhos)
+    if side == "small":
+        arranged = permute_qubits(rhos, pair + [cut])
+        blocks = arranged.reshape(n, 4, 2, 4, 2).transpose(0, 1, 3, 2, 4).reshape(n, 16, 2, 2)
+    else:
+        arranged = permute_qubits(rhos, [cut] + pair)
+        blocks = arranged.reshape(n, 2, 4, 2, 4).transpose(0, 1, 3, 2, 4).reshape(n, 4, 4, 4)
+    m, k = blocks.shape[1:3]
+    rows = blocks.reshape(n, m * k, k)
+    cols = blocks.transpose(0, 2, 1, 3).reshape(n, k, m * k)
+    prod = (rows @ cols).reshape(n, m, k, m, k)
+    return np.abs(prod - prod.transpose(0, 3, 2, 1, 4)).reshape(n, -1).max(axis=1)
+
+
+def ref_eps(rhos):
+    return np.maximum(1e-10, 1e-8 * (1.0 + np.abs(rhos).reshape(len(rhos), -1).max(axis=1)))
+
+
+def ref_zero_discord_flags(rhos):
+    """(N, 6) zero-discord flags in CHECKS order, from the dense block product."""
+    eps = ref_eps(rhos)
+    return np.stack([ref_commutator_max(rhos, cut, side) <= eps for cut, side in CHECKS], axis=1)
 
 
 def ref_is_product(rho, tol=1e-8):
@@ -192,6 +220,52 @@ class TestZeroDiscord:
         rng = np.random.default_rng(3)
         mats = np.stack([random_mixed_product(rng) for _ in range(20)])
         assert zero_discord_flags(mats).all()
+
+
+class TestClosedFormCommutator:
+    """zero_discord_flags against the dense block product, check by check."""
+
+    def test_map_grid(self):
+        us = np.linspace(0.0, 2.0, 101)
+        mats = map_states([map_point(u, v) for v in us for u in us])
+        assert np.array_equal(zero_discord_flags(mats), ref_zero_discord_flags(mats))
+
+    @pytest.mark.parametrize("seed", [0, 17, 123])
+    def test_every_dataset_kind(self, seed):
+        for kind in PLANS:
+            mats = build_dataset(kind, 24, seed).mats
+            assert np.array_equal(zero_discord_flags(mats), ref_zero_discord_flags(mats)), kind
+
+    def test_states_scaled_across_eps(self):
+        # scaling a state by s scales its commutators by s^2 and moves eps to
+        # 1e-8 (1 + s max|rho|): solve s^2 w = 1e-8 (1 + s m) for each state
+        # and check, then step s by relative amounts from 1e-15 to 1e-6 either
+        # side, so the largest entry w crosses eps. For a Hermitian state the
+        # mirrored block pairs repeat each entry, so general complex matrices
+        # join the states: only they show that every entry and pair is checked
+        rng = np.random.default_rng(36)
+        mats = np.concatenate([
+            build_s_mixed(20, 36).mats,
+            rng.normal(size=(20, 8, 8)) + 1j * rng.normal(size=(20, 8, 8)),
+        ])
+        m = np.abs(mats).reshape(len(mats), -1).max(axis=1)
+        steps = np.concatenate([-np.logspace(-6, -15, 10), [0.0], np.logspace(-15, -6, 10)])
+        scaled = []
+        for cut, side in CHECKS:
+            w = ref_commutator_max(mats, cut, side)
+            keep = w > 1e-6
+            s = (1e-8 * m + np.sqrt((1e-8 * m) ** 2 + 4e-8 * w)) / (2.0 * w)
+            factors = s[keep, None] * (1.0 + steps)
+            scaled.append((mats[keep, None] * factors[..., None, None]).reshape(-1, 8, 8))
+        scaled = np.concatenate(scaled)
+        got, want = zero_discord_flags(scaled), ref_zero_discord_flags(scaled)
+        eps = ref_eps(scaled)[:, None]
+        worst = np.stack([ref_commutator_max(scaled, cut, side) for cut, side in CHECKS], axis=1)
+        # the two forms round differently: they may part only at eps itself
+        near = np.abs(worst - eps) <= 1e-12 * eps
+        assert np.array_equal(got[~near], want[~near])
+        for j in range(len(CHECKS)):
+            assert want[:, j].any() and not want[:, j].all(), CHECKS[j]
 
 
 class TestIsProduct:
