@@ -7,7 +7,6 @@ sampling is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -199,12 +198,10 @@ class MapPoint:
     c_boost: float
 
 
-def _clamp(x: float, lo: float = 0.0, hi: float = 1.0) -> float:
-    return min(hi, max(lo, x))
-
-
-def map_point(u: float, v: float) -> MapPoint:
-    """Derive the state parameters for a map coordinate.
+def map_params(u, v) -> np.ndarray:
+    """(N, 4) state parameters, rows (p, a_param, phi, c_boost), for the N map
+    coordinates (u, v) taken elementwise from two equal-size arrays, each
+    flattened in C order.
 
     The inner square [0.5,1.5]^2 carries mixtures of two orthogonal product
     states (p grows along v, the basis parameter a shrinks along u, both
@@ -213,15 +210,27 @@ def map_point(u: float, v: float) -> MapPoint:
     beyond the u+v=3 anti-diagonal and, below the main diagonal, toward the
     lower-left corner.
     """
-    if not (0.0 <= u <= 2.0 and 0.0 <= v <= 2.0):
-        raise ValueError(f"map coordinates must lie in [0,2]^2, got ({u}, {v})")
-    uu, vv = (u, v) if v >= u else (v, u)
-    p = 0.5 * _clamp(vv - 0.5)
-    a = SQRT_HALF * (1.0 - _clamp(uu - 0.5))
-    phi = 0.5 * np.pi * _clamp((max(abs(u - 1.0), abs(v - 1.0)) - 0.5) / 0.5)
-    c = _clamp(u + v - 3.0)
-    if v < u:
-        c += _clamp(1.0 - (u + v) / 2.0)
+    u = np.asarray(u, dtype=float).ravel()
+    v = np.asarray(v, dtype=float).ravel()
+    if u.shape != v.shape:
+        raise ValueError("u and v must have the same number of coordinates")
+    if not (np.all((0.0 <= u) & (u <= 2.0)) and np.all((0.0 <= v) & (v <= 2.0))):
+        raise ValueError("map coordinates must lie in [0,2]^2")
+
+    def clamp(x):
+        return np.minimum(1.0, np.maximum(0.0, x))
+
+    lo, hi = np.minimum(u, v), np.maximum(u, v)  # mirrored about the diagonal
+    p = 0.5 * clamp(hi - 0.5)
+    a = SQRT_HALF * (1.0 - clamp(lo - 0.5))
+    phi = 0.5 * np.pi * clamp((np.maximum(abs(u - 1.0), abs(v - 1.0)) - 0.5) / 0.5)
+    c = clamp(u + v - 3.0) + np.where(v < u, clamp(1.0 - (u + v) / 2.0), 0.0)
+    return np.stack([p, a, phi, c], axis=1)
+
+
+def map_point(u: float, v: float) -> MapPoint:
+    """The state parameters of one map coordinate: a row of `map_params`."""
+    p, a, phi, c = map_params(u, v)[0]
     return MapPoint(u=u, v=v, p=p, a_param=a, phi=phi, c_boost=c)
 
 
@@ -232,21 +241,20 @@ def _kron3(psi: np.ndarray) -> np.ndarray:
     return (k[:, :, None] * psi[:, None, :]).reshape(n, 8)
 
 
-def map_states(pts: Sequence[MapPoint]) -> np.ndarray:
-    """(N, 8, 8) density matrices for map points, all in one pass.
+def map_states(table: np.ndarray) -> np.ndarray:
+    """(N, 8, 8) density matrices for the N rows of a `map_params` table, all
+    in one pass.
 
     Each state is p |k1><k1| + (1-p) |k2><k2| for the product kets
     k1 = psi1^(x3), k2 = psi2^(x3), then `boost_largest_eigenvalue` where
     c_boost > 0 (one stacked eigendecomposition over those states). Each
     element goes through the per-point operations in the per-point order,
-    so a state is bit-identical whatever else is in the call: where the top
-    eigenvalue is degenerate before the boost, a last-bit change can pick
-    another eigenvector.
+    so a state is bit-identical whatever else is in the call, and equal rows
+    give equal matrices: where the top eigenvalue is degenerate before the
+    boost, a last-bit change can pick another eigenvector.
     """
-    a = np.array([pt.a_param for pt in pts], dtype=float)
-    phi = np.array([pt.phi for pt in pts], dtype=float)
-    p = np.array([pt.p for pt in pts], dtype=float)[:, None, None]
-    c = np.array([pt.c_boost for pt in pts], dtype=float)
+    p, a, phi, c = np.ascontiguousarray(np.asarray(table, dtype=float).T)
+    p = p[:, None, None]
     s = np.sqrt(1.0 - a * a)
     psi1 = np.stack([a, s], axis=1).astype(complex)
     psi2 = np.stack([np.exp(-0.5j * phi) * s, -a * np.exp(0.5j * phi)], axis=1)
@@ -267,4 +275,4 @@ def map_states(pts: Sequence[MapPoint]) -> np.ndarray:
 
 def map_state(pt: MapPoint) -> np.ndarray:
     """Density matrix for a map point."""
-    return map_states([pt])[0]
+    return map_states([[pt.p, pt.a_param, pt.phi, pt.c_boost]])[0]

@@ -18,7 +18,7 @@ from qsep.oracles import (
 from qsep.states import (
     haar_random_pure,
     ket_to_dm,
-    map_point,
+    map_params,
     map_states,
     mix,
     random_circuit_state,
@@ -227,7 +227,7 @@ class TestClosedFormCommutator:
 
     def test_map_grid(self):
         us = np.linspace(0.0, 2.0, 101)
-        mats = map_states([map_point(u, v) for v in us for u in us])
+        mats = map_states(map_params(*np.meshgrid(us, us)))
         assert np.array_equal(zero_discord_flags(mats), ref_zero_discord_flags(mats))
 
     @pytest.mark.parametrize("seed", [0, 17, 123])
@@ -355,9 +355,9 @@ class TestBatchedCore:
     def test_map_grid(self):
         # grid 41 holds cells whose top eigenvalue is degenerate before the boost
         us = np.linspace(0.0, 2.0, 41)
-        pts = [map_point(u, v) for v in us for u in us]
-        known = np.array([pt.c_boost == 0.0 for pt in pts])
-        mats = map_states(pts)
+        table = map_params(*np.meshgrid(us, us))
+        known = table[:, 3] == 0.0  # no boost
+        mats = map_states(table)
         labels = label_states(mats, known)
         for i, (rho, ks) in enumerate(zip(mats, known)):
             assert_label_row(labels, i, ref_classify(rho, known_separable=ks))

@@ -11,6 +11,7 @@ from qsep.states import (
     boost_largest_eigenvalue,
     haar_random_pure,
     ket_to_dm,
+    map_params,
     map_point,
     map_state,
     map_states,
@@ -28,6 +29,23 @@ from qsep.states import (
 
 def purity(rho):
     return float(np.trace(rho @ rho).real)
+
+
+def ref_map_point(u, v):
+    """The map parameters one coordinate at a time, as written before the
+    vectorised `map_params`."""
+
+    def clamp(x):
+        return min(1.0, max(0.0, x))
+
+    uu, vv = (u, v) if v >= u else (v, u)
+    p = 0.5 * clamp(vv - 0.5)
+    a = states.SQRT_HALF * (1.0 - clamp(uu - 0.5))
+    phi = 0.5 * np.pi * clamp((max(abs(u - 1.0), abs(v - 1.0)) - 0.5) / 0.5)
+    c = clamp(u + v - 3.0)
+    if v < u:
+        c += clamp(1.0 - (u + v) / 2.0)
+    return MapPoint(u=u, v=v, p=p, a_param=a, phi=phi, c_boost=c)
 
 
 def ref_map_state(pt):
@@ -264,6 +282,23 @@ class TestMapFamily:
             map_point(-0.1, 1.0)
         with pytest.raises(ValueError):
             map_point(1.0, 2.3)
+        with pytest.raises(ValueError):
+            map_params(np.zeros(2), np.zeros(3))
+
+    @pytest.mark.parametrize("grid", [11, 21, 101, 201])
+    def test_params_bit_identical_to_scalar_reference(self, grid):
+        us = np.linspace(0.0, 2.0, grid)
+        want = [ref_map_point(u, v) for v in us for u in us]
+        want = np.array([[pt.p, pt.a_param, pt.phi, pt.c_boost] for pt in want])
+        got = map_params(*np.meshgrid(us, us))
+        assert got.shape == (grid * grid, 4)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_distinct_cells_grid_101(self):
+        # mirror cells (u + v >= 2) and the clamped bands repeat parameters;
+        # the map render builds each distinct row once
+        us = np.linspace(0.0, 2.0, 101)
+        assert len(np.unique(map_params(*np.meshgrid(us, us)), axis=0)) == 6685
 
     def test_all_states_valid(self):
         for u in np.linspace(0, 2, 9):
@@ -276,7 +311,7 @@ class TestMapFamily:
         us = np.linspace(0.0, 2.0, 41)
         pts = [map_point(u, v) for v in us for u in us]
         want = np.stack([ref_map_state(pt) for pt in pts])
-        assert np.array_equal(map_states(pts), want)
+        assert np.array_equal(map_states(map_params(*np.meshgrid(us, us))), want)
         assert np.array_equal(map_state(pts[-1]), want[-1])
         assert sum(pt.c_boost > 0.0 for pt in pts) > 0
 
@@ -284,15 +319,15 @@ class TestMapFamily:
         # the mixture is formed in place: the traced peak stays within 3.5
         # (N, 8, 8) complex arrays (4.9 when each product was a new array)
         us = np.linspace(0.0, 2.0, 51)
-        pts = [map_point(u, v) for v in us for u in us]
-        map_states(pts[:3])
+        table = map_params(*np.meshgrid(us, us))
+        map_states(table[:3])
         tracemalloc.start()
         try:
-            map_states(pts)
+            map_states(table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * len(pts) * 64 * 16, peak / (len(pts) * 64 * 16)
+        assert peak <= 3.5 * len(table) * 64 * 16, peak / (len(table) * 64 * 16)
 
     def test_all_four_classes_on_coarse_grid(self):
         from qsep.oracles import StateClass, classify
