@@ -122,10 +122,7 @@ def cmd_gen(r: dict) -> int:
 
 def cmd_train(r: dict) -> int:
     _check_fraction(r, "verify_fraction")
-    train_ds = training.load_qsd(r["train"])
-    val_ds = training.load_qsd(r["val"])
-    for ds in (train_ds, val_ds):
-        training.verify_labels(ds, fraction=r["verify_fraction"], seed=r["seed"])
+    # both configs check their settings before any data is read
     sep_cfg = SeparatorConfig(
         n_k=r["nk"],
         use_fc=not r["no_fc"],
@@ -142,6 +139,10 @@ def cmd_train(r: dict) -> int:
         seed=r["seed"],
         init_noise=r["init_noise"],
     )
+    train_ds = training.load_qsd(r["train"])
+    val_ds = training.load_qsd(r["val"])
+    for ds in (train_ds, val_ds):
+        training.verify_labels(ds, fraction=r["verify_fraction"], seed=r["seed"])
     report = training.train(train_cfg, sep_cfg, train_ds, val_ds, checkpoint_path=r["out"])
     sha = checkpoint_sha(r["out"])
     with atomic_write(r["out"] + ".losses.csv") as fh:

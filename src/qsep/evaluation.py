@@ -33,13 +33,16 @@ DEFAULT_CHUNK = 512  # states per model/oracle pass
 DEFAULT_GRID = 101  # map points per axis
 
 
-def threshold_grid(
-    n: int = DEFAULT_THRESHOLDS, lo: float = THRESHOLD_RANGE[0], hi: float = THRESHOLD_RANGE[1]
-) -> np.ndarray:
+def threshold_grid(n: int = DEFAULT_THRESHOLDS) -> np.ndarray:
+    """n log-spaced thresholds over THRESHOLD_RANGE."""
+    lo, hi = THRESHOLD_RANGE
     return np.logspace(np.log10(lo), np.log10(hi), n)
 
 
 def _spans(n: int, chunk: int) -> list[tuple[int, int]]:
+    """The (lo, hi) bounds of n states in spans of `chunk`."""
+    if chunk < 1:
+        raise ValueError("chunk must be >= 1")
     return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
 
 
@@ -267,7 +270,7 @@ def render_map(
         tasks += [
             partial(_model_losses, part, params, config),
             partial(baseline_losses, part),
-            partial(label_states, part, known_separable[lo:hi], chunk=chunk),
+            partial(label_states, part, known_separable[lo:hi]),
         ]
     results = _run_tasks(tasks, threads)
     losses = np.concatenate(results[0::3])

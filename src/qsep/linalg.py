@@ -98,17 +98,19 @@ def permute_qubits(rho: np.ndarray, perm: Sequence[int]) -> np.ndarray:
     return np.transpose(t, axes).reshape(rho.shape)
 
 
-def hermitian_eig(h: np.ndarray, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, or of each in a stack.
 
-    Rejects inputs with max|h - h^dag| > tol, symmetrizes the rest and
-    returns (eigenvalues ascending, eigenvectors as columns).
+    Rejects inputs with max|h - h^dag| > HERMITICITY_TOL, symmetrizes the
+    rest and returns (eigenvalues ascending, eigenvectors as columns).
     """
     h = np.asarray(h)
     h_dag = h.conj().swapaxes(-1, -2)
     dev = np.abs(h - h_dag).max()
-    if dev > tol:
-        raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e} > {tol:.1e}")
+    if dev > HERMITICITY_TOL:
+        raise ValueError(
+            f"matrix is not Hermitian: max deviation {dev:.3e} > {HERMITICITY_TOL:.1e}"
+        )
     w, v = np.linalg.eigh(0.5 * (h + h_dag))
     return w, v
 

@@ -95,11 +95,6 @@ class StateLabels:
         )
 
 
-def _check_cut(cut: int) -> None:
-    if cut not in CUTS:
-        raise ValueError(f"cut must be one of {CUTS}")
-
-
 def negativities(rhos: np.ndarray, cuts=CUTS) -> np.ndarray:
     """(N, len(cuts)): sum of |negative eigenvalues| of each partial transpose.
 
@@ -163,11 +158,12 @@ def _commutator_max(blocks: np.ndarray) -> np.ndarray:
     return _max_abs(prod - prod.transpose(0, 3, 2, 1, 4))
 
 
-def zero_discord_flags(rhos: np.ndarray, checks=CHECKS) -> np.ndarray:
-    """(N, len(checks)) bool: True where a (cut, measured side) check finds zero discord.
+def zero_discord_flags(rhos: np.ndarray) -> np.ndarray:
+    """(N, 6) bool: True where a (cut, measured side) check, in CHECKS order,
+    finds zero discord.
 
     cut: the single qubit defining the bipartition (that qubit vs the pair).
-    measured_side: "small" measures the single qubit, "large" the pair.
+    measured side: "small" measures the single qubit, "large" the pair.
     Every block must be normal and every pair of blocks must commute, to
     eps = max(1e-10, 1e-8 (1 + max|rho|)). Since rho is Hermitian, the
     adjoint of a block is the mirrored block, so a block commuting with it
@@ -177,25 +173,23 @@ def zero_discord_flags(rhos: np.ndarray, checks=CHECKS) -> np.ndarray:
     by a block product.
     """
     eps = np.maximum(1e-10, 1e-8 * (1.0 + _max_abs(rhos)))
-    out = np.empty((len(rhos), len(checks)), dtype=bool)
-    for j, (cut, side) in enumerate(checks):
-        _check_cut(cut)
-        if side not in SIDES:
-            raise ValueError("measured_side must be 'small' or 'large'")
+    out = np.empty((len(rhos), len(CHECKS)), dtype=bool)
+    for j, (cut, side) in enumerate(CHECKS):
         blocks = _blocks(rhos, cut, side)
         worst = _small_commutator_max(blocks) if side == "small" else _commutator_max(blocks)
         out[:, j] = worst <= eps
     return out
 
 
-def product_flags(rhos: np.ndarray, tol: float = PRODUCT_TOL) -> np.ndarray:
-    """(N,) bool: True where rho equals the product of its single-qubit reductions."""
+def product_flags(rhos: np.ndarray) -> np.ndarray:
+    """(N,) bool: True where rho equals the product of its single-qubit
+    reductions, to PRODUCT_TOL."""
     r0, r1, r2 = (partial_trace(rhos, keep=[q]) for q in CUTS)
     n = len(rhos)
     # the elementwise products of np.kron, with a leading batch axis
     k01 = (r0[:, :, None, :, None] * r1[:, None, :, None, :]).reshape(n, 4, 4)
     k = (k01[:, :, None, :, None] * r2[:, None, :, None, :]).reshape(n, 8, 8)
-    return _max_abs(rhos - k) <= tol
+    return _max_abs(rhos - k) <= PRODUCT_TOL
 
 
 def _labels(neg, disc, prod, known_separable) -> StateLabels:
@@ -207,11 +201,10 @@ def _labels(neg, disc, prod, known_separable) -> StateLabels:
     )
 
 
-def label_states(
-    rhos: np.ndarray, known_separable=False, chunk: int = LABEL_CHUNK
-) -> StateLabels:
+def label_states(rhos: np.ndarray, known_separable=False) -> StateLabels:
     """Full labels of a stack (N, 8, 8): per-cut negativity and entanglement
-    flags, six discord checks, product test and class, `chunk` states per pass.
+    flags, six discord checks, product test and class, LABEL_CHUNK states per
+    pass. Each state's labels are the same whatever else is in the stack.
 
     known_separable (a bool or an (N,) mask) records construction
     provenance: it forces the entanglement flags of those states to false
@@ -219,26 +212,26 @@ def label_states(
     computed (NaN); it leaves the discord checks untouched.
     """
     rhos = np.asarray(rhos)
-    if chunk < 1:
-        raise ValueError("chunk must be >= 1")
     n = len(rhos)
     known = np.broadcast_to(np.asarray(known_separable, dtype=bool), (n,))
     neg = np.full((n, len(CUTS)), np.nan)
     disc = np.empty((n, len(CHECKS)), dtype=bool)
     prod = np.empty(n, dtype=bool)
-    for lo in range(0, n, chunk):
-        part = rhos[lo : lo + chunk]
-        todo = np.flatnonzero(~known[lo : lo + chunk])
+    for lo in range(0, n, LABEL_CHUNK):
+        hi = lo + LABEL_CHUNK
+        part = rhos[lo:hi]
+        todo = np.flatnonzero(~known[lo:hi])
         if len(todo):
             neg[lo + todo] = negativities(part[todo])
-        disc[lo : lo + chunk] = ~zero_discord_flags(part)
-        prod[lo : lo + chunk] = product_flags(part)
+        disc[lo:hi] = ~zero_discord_flags(part)
+        prod[lo:hi] = product_flags(part)
     return _labels(neg, disc, prod, known)
 
 
 def negativity(rho: np.ndarray, cut: int) -> float:
     """Sum of |negative eigenvalues| of the partial transpose over `cut`."""
-    _check_cut(cut)
+    if cut not in CUTS:
+        raise ValueError(f"cut must be one of {CUTS}")
     return float(negativities(np.asarray(rho)[None], (cut,))[0, 0])
 
 

@@ -91,6 +91,12 @@ class SeparatorConfig:
     activation: str = "relu"
 
     def __post_init__(self) -> None:
+        # a checkpoint's config is JSON: 2.0 is not a channel count, "no" not a switch
+        types = {"n_k": int, "fc_depth": int, "use_fc": bool, "tie_weights": bool}
+        for name, kind in types.items():
+            value = getattr(self, name)
+            if type(value) is not kind:
+                raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
         if self.n_k < 1:
             raise ValueError("n_k must be >= 1")
         if self.use_fc and self.fc_depth < 1:
@@ -337,8 +343,6 @@ def forward_batch(
     """
     _check_shapes(params, config)
     rhos = np.asarray(rhos)
-    if rhos.ndim == 2:
-        rhos = rhos[None]
     b, n_k, p = rhos.shape[0], config.n_k, config.n_paths
     x = np.concatenate([rhos.real.reshape(b, 64), rhos.imag.reshape(b, 64)], axis=1)
     h = _encoder_matrix(params.kernels) @ x.T
@@ -426,8 +430,6 @@ def baseline_losses(rhos: np.ndarray) -> np.ndarray:
     """Losses of the product of the three single-qubit reductions: the
     decoder with one channel whose factors are the partial traces."""
     rhos = np.asarray(rhos)
-    if rhos.ndim == 2:
-        rhos = rhos[None]
     t = rhos.reshape(-1, 2, 2, 2, 2, 2, 2)
     parts = [
         np.einsum("bikmjkm->bij", t),

@@ -6,13 +6,14 @@ sampling is reproducible.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import hermitian_eig, kron_all, partial_trace
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
+CIRCUIT_QUBITS = 3
+CIRCUIT_DEPTH = 4  # layers of `random_circuit_state`
+MIXTURE_TERMS = (2, 8)  # fewest and most product kets in `random_product_mixture`
 
 
 def haar_random_pure(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
@@ -57,30 +58,22 @@ def _apply_cnot(psi: np.ndarray, control: int, target: int, n: int) -> np.ndarra
     return np.moveaxis(t, (0, 1), (control, target)).reshape(-1)
 
 
-def random_circuit_state(
-    n_qubits: int = 3,
-    depth: int = 4,
-    entangling: bool = True,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Ket from a layered random circuit acting on |0...0>.
+def random_circuit_state(rng: np.random.Generator, entangling: bool) -> np.ndarray:
+    """3-qubit ket from a CIRCUIT_DEPTH-layer random circuit acting on |000>.
 
     Each layer applies an independent u3 with angles ~ U[0, 2pi) to every
     qubit; entangling layers append a CNOT on a random adjacent pair.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if rng is None:
-        raise ValueError("rng is required")
-    psi = np.zeros(2**n_qubits, dtype=complex)
+    n = CIRCUIT_QUBITS
+    psi = np.zeros(2**n, dtype=complex)
     psi[0] = 1.0
-    for _ in range(depth):
-        for q in range(n_qubits):
+    for _ in range(CIRCUIT_DEPTH):
+        for q in range(n):
             th, ph, la = rng.uniform(0.0, 2.0 * np.pi, size=3)
-            psi = _apply_1q(psi, u3(th, ph, la), q, n_qubits)
-        if entangling and n_qubits >= 2:
-            c = int(rng.integers(0, n_qubits - 1))
-            psi = _apply_cnot(psi, c, c + 1, n_qubits)
+            psi = _apply_1q(psi, u3(th, ph, la), q, n)
+        if entangling:
+            c = int(rng.integers(0, n - 1))
+            psi = _apply_cnot(psi, c, c + 1, n)
     return psi
 
 
@@ -92,23 +85,6 @@ def random_single_qubit_mixed(rng: np.random.Generator) -> np.ndarray:
 def random_mixed_product(rng: np.random.Generator) -> np.ndarray:
     """Product of three independent single-qubit mixed states."""
     return kron_all(random_single_qubit_mixed(rng) for _ in range(3))
-
-
-def random_classical_state(
-    rng: np.random.Generator, min_terms: int = 2, max_terms: int = 8
-) -> np.ndarray:
-    """Mixture diagonal in a random product basis (zero discord everywhere).
-
-    The diagonal is supported on m ~ U{min_terms..max_terms} of the 8
-    product-basis outcomes with Dirichlet(1) weights.
-    """
-    us = [_haar_unitary_2(rng) for _ in range(3)]
-    u = kron_all(us)
-    m = int(rng.integers(min_terms, max_terms + 1))
-    support = rng.choice(8, size=m, replace=False)
-    p = np.zeros(8)
-    p[support] = rng.dirichlet(np.ones(m))
-    return (u * p) @ u.conj().T
 
 
 def _haar_unitary_2(rng: np.random.Generator) -> np.ndarray:
@@ -134,11 +110,10 @@ def antipodal_classical(rng: np.random.Generator, shared_basis: bool = False) ->
     return w * ket_to_dm(k1) + (1.0 - w) * ket_to_dm(k2)
 
 
-def random_product_mixture(
-    rng: np.random.Generator, min_terms: int = 2, max_terms: int = 8
-) -> np.ndarray:
-    """Dirichlet mixture of Haar product kets: separable by construction."""
-    m = int(rng.integers(min_terms, max_terms + 1))
+def random_product_mixture(rng: np.random.Generator) -> np.ndarray:
+    """Dirichlet mixture of m ~ U{MIXTURE_TERMS} Haar product kets: separable
+    by construction."""
+    m = int(rng.integers(MIXTURE_TERMS[0], MIXTURE_TERMS[1] + 1))
     w = rng.dirichlet(np.ones(m))
     rho = np.zeros((8, 8), dtype=complex)
     for j in range(m):
@@ -186,18 +161,6 @@ def boost_largest_eigenvalue(rho: np.ndarray, c) -> np.ndarray:
 # --- 2D map family ---------------------------------------------------------
 
 
-@dataclass
-class MapPoint:
-    """Coordinates (u, v) in [0,2]^2 plus the derived state parameters."""
-
-    u: float
-    v: float
-    p: float
-    a_param: float
-    phi: float
-    c_boost: float
-
-
 def map_params(u, v) -> np.ndarray:
     """(N, 4) state parameters, rows (p, a_param, phi, c_boost), for the N map
     coordinates (u, v) taken elementwise from two equal-size arrays, each
@@ -226,12 +189,6 @@ def map_params(u, v) -> np.ndarray:
     phi = 0.5 * np.pi * clamp((np.maximum(abs(u - 1.0), abs(v - 1.0)) - 0.5) / 0.5)
     c = clamp(u + v - 3.0) + np.where(v < u, clamp(1.0 - (u + v) / 2.0), 0.0)
     return np.stack([p, a, phi, c], axis=1)
-
-
-def map_point(u: float, v: float) -> MapPoint:
-    """The state parameters of one map coordinate: a row of `map_params`."""
-    p, a, phi, c = map_params(u, v)[0]
-    return MapPoint(u=u, v=v, p=p, a_param=a, phi=phi, c_boost=c)
 
 
 def _kron3(psi: np.ndarray) -> np.ndarray:
@@ -273,6 +230,6 @@ def map_states(table: np.ndarray) -> np.ndarray:
     return rho
 
 
-def map_state(pt: MapPoint) -> np.ndarray:
-    """Density matrix for a map point."""
-    return map_states([[pt.p, pt.a_param, pt.phi, pt.c_boost]])[0]
+def map_state(u: float, v: float) -> np.ndarray:
+    """Density matrix of one map coordinate: a row of `map_states`."""
+    return map_states(map_params(u, v))[0]

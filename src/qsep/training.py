@@ -10,6 +10,7 @@ pairs, stored in the QSD1 binary format.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -93,6 +94,8 @@ PURITY_TOL = 1e-8
 # up. Each family accepts nearly every draw (2000-3000 records per family all
 # took one), so reaching the cap means a broken state source, not bad luck.
 MAX_DRAWS = 1000
+LOSS_CHUNK = 1024  # states per forward pass of `mean_loss`
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def pack_labels(labels: StateLabels) -> np.ndarray:
@@ -243,7 +246,7 @@ def gen_pure_separable(rng: np.random.Generator, toggle: int = 0):
     if toggle % 2 == 0:
         psi = states.random_separable_pure(rng)
     else:
-        psi = states.random_circuit_state(3, depth=4, entangling=False, rng=rng)
+        psi = states.random_circuit_state(rng, entangling=False)
     rho = states.ket_to_dm(psi)
     return _record(rho, classify(rho, known_separable=True))
 
@@ -289,7 +292,7 @@ def gen_pure_entangled(rng: np.random.Generator, toggle: int = 0):
         if toggle % 2 == 0:
             psi = states.haar_random_pure(3, rng)
         else:
-            psi = states.random_circuit_state(3, depth=4, entangling=True, rng=rng)
+            psi = states.random_circuit_state(rng, entangling=True)
         rho = states.ket_to_dm(psi)
         label = classify(rho)
         # the filter exceeds the oracle's flag threshold, so this is Entangled
@@ -337,7 +340,7 @@ def gen_mixed_entangled(rng: np.random.Generator, toggle: int = 0):
             kets = [
                 states.haar_random_pure(3, rng)
                 if rng.uniform() < 0.5
-                else states.random_circuit_state(3, depth=4, entangling=True, rng=rng)
+                else states.random_circuit_state(rng, entangling=True)
                 for _ in range(m)
             ]
             rho = states.mix([states.ket_to_dm(k) for k in kets], rng.dirichlet(np.ones(m)))
@@ -478,9 +481,6 @@ class TrainConfig:
     subset: str = "Sep"
     seed: int = 0
     init_noise: float = DEFAULT_INIT_NOISE
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.optimizer not in OPTIMIZERS:
@@ -489,8 +489,10 @@ class TrainConfig:
             raise ValueError(f"subset must be one of {SUBSETS}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.init_noise) and self.init_noise >= 0.0):
+            raise ValueError(f"init_noise must be >= 0 and finite, got {self.init_noise}")
 
 
 @dataclass
@@ -502,15 +504,13 @@ class TrainReport:
     best_val_loss: float
     params: SeparatorParams
     config: SeparatorConfig
-    train_config: TrainConfig
 
 
-def mean_loss(
-    params: SeparatorParams, config: SeparatorConfig, mats: np.ndarray, chunk: int = 1024
-) -> float:
+def mean_loss(params: SeparatorParams, config: SeparatorConfig, mats: np.ndarray) -> float:
+    """Mean model loss over `mats`, LOSS_CHUNK states per forward pass."""
     total = 0.0
-    for i in range(0, len(mats), chunk):
-        losses, _, _ = forward_batch(mats[i : i + chunk], params, config)
+    for i in range(0, len(mats), LOSS_CHUNK):
+        losses, _, _ = forward_batch(mats[i : i + LOSS_CHUNK], params, config)
         total += float(losses.sum())
     return total / len(mats)
 
@@ -528,34 +528,34 @@ class _Adam:
         self.v = [np.zeros_like(a) for a in arrays]
         self.scratch = np.empty((2, self.CHUNK))
         self.t = 0
-        self.cfg = cfg
+        self.lr = cfg.learning_rate
 
     def step(self, arrays: list[np.ndarray], grads: list[np.ndarray]) -> None:
         """m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
-        a -= lr * (m / b1c) / (sqrt(v / b2c) + eps), evaluated in that
-        operation order, so bit-identical to the plain expressions, in place
-        and chunk by chunk so a step allocates no array."""
-        c = self.cfg
+        a -= lr * (m / b1c) / (sqrt(v / b2c) + eps), with b1, b2 and eps the
+        ADAM_* constants, evaluated in that operation order, so bit-identical
+        to the plain expressions, in place and chunk by chunk so a step
+        allocates no array."""
         self.t += 1
-        b1c = 1.0 - c.adam_beta1**self.t
-        b2c = 1.0 - c.adam_beta2**self.t
+        b1c = 1.0 - ADAM_BETA1**self.t
+        b2c = 1.0 - ADAM_BETA2**self.t
         for a, g, m, v in zip(arrays, grads, self.m, self.v):
             flat = a.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
             for lo in range(0, a.size, self.CHUNK):
                 ac, gc, mc, vc = (x[lo : lo + self.CHUNK] for x in flat)
                 u, w = self.scratch[:, : ac.size]
-                np.multiply(gc, 1.0 - c.adam_beta1, out=u)
-                mc *= c.adam_beta1
+                np.multiply(gc, 1.0 - ADAM_BETA1, out=u)
+                mc *= ADAM_BETA1
                 mc += u
-                np.multiply(gc, 1.0 - c.adam_beta2, out=u)
+                np.multiply(gc, 1.0 - ADAM_BETA2, out=u)
                 u *= gc
-                vc *= c.adam_beta2
+                vc *= ADAM_BETA2
                 vc += u
                 np.divide(mc, b1c, out=u)
-                u *= c.learning_rate
+                u *= self.lr
                 np.divide(vc, b2c, out=w)
                 np.sqrt(w, out=w)
-                w += c.adam_eps
+                w += ADAM_EPS
                 u /= w
                 ac -= u
 
@@ -628,7 +628,6 @@ def train(
         best_val_loss=best_val,
         params=best_params,
         config=sep_cfg,
-        train_config=cfg,
     )
     if checkpoint_path is not None:
         save_checkpoint(

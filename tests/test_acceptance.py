@@ -16,6 +16,7 @@ import time
 
 import numpy as np
 import pytest
+from classical_states import random_classical_state
 
 from qsep.evaluation import (
     confusion_at,
@@ -38,7 +39,6 @@ from qsep.separator import (
 from qsep.states import (
     haar_random_pure,
     ket_to_dm,
-    random_classical_state,
     random_mixed_product,
     random_product_mixture,
     random_separable_pure,

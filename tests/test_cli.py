@@ -1,4 +1,5 @@
 """End-to-end command-line interface tests (all through main())."""
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -8,8 +9,8 @@ import pytest
 
 from qsep import states, training
 from qsep.cli import main
-from qsep.separator import _encode_array, load_checkpoint
-from qsep.training import build_dataset, load_qsd
+from qsep.separator import SeparatorConfig, _encode_array, load_checkpoint
+from qsep.training import TrainConfig, build_dataset, load_qsd
 
 
 def run(*argv):
@@ -130,7 +131,63 @@ class TestGen:
         assert code == 2
 
 
+# every TrainConfig and SeparatorConfig field: the train flags that set it, and
+# the value they give it (never the field's default)
+TRAIN_SETTINGS = {
+    "epochs": (["--epochs", "3"], 3),
+    "learning_rate": (["--lr", "0.002"], 0.002),
+    "batch_size": (["--batch", "60"], 60),
+    "optimizer": (["--optimizer", "sgd"], "sgd"),
+    "subset": (["--subset", "Prod"], "Prod"),
+    "seed": (["--seed", "9"], 9),
+    "init_noise": (["--init-noise", "0.01"], 0.01),
+    "n_k": (["--nk", "3"], 3),
+    "use_fc": (["--no-fc"], False),
+    "fc_depth": (["--fc-depth", "2"], 2),
+    "tie_weights": (["--untie"], False),
+    "activation": (["--activation", "tanh"], "tanh"),
+}
+
+
 class TestTrain:
+    def test_every_config_field_is_a_setting(self, workdir, train_qsd, val_qsd, monkeypatch):
+        fields = [f.name for cls in (TrainConfig, SeparatorConfig)
+                  for f in dataclasses.fields(cls)]
+        assert sorted(fields) == sorted(TRAIN_SETTINGS)
+        defaults = {**vars(TrainConfig()), **vars(SeparatorConfig())}
+        assert all(defaults[name] != value for name, (_, value) in TRAIN_SETTINGS.items())
+        seen = {}
+
+        class Stop(Exception):
+            pass
+
+        def fake_train(cfg, sep_cfg, *args, **kwargs):
+            seen.update(vars(cfg), **vars(sep_cfg))
+            raise Stop
+
+        monkeypatch.setattr(training, "train", fake_train)
+        argv = [arg for flags, _ in TRAIN_SETTINGS.values() for arg in flags]
+        with pytest.raises(Stop):
+            run("train", "--train", train_qsd, "--val", val_qsd,
+                "--out", str(workdir / "never4.json"), *argv)
+        assert seen == {name: value for name, (_, value) in TRAIN_SETTINGS.items()}
+
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--lr", "nan", "learning_rate"), ("--lr", "inf", "learning_rate"),
+        ("--lr", "0", "learning_rate"), ("--init-noise", "nan", "init_noise"),
+        ("--init-noise", "inf", "init_noise"), ("--init-noise", "-0.5", "init_noise"),
+    ])
+    def test_bad_setting_exit_2_before_reading_data(self, workdir, flag, value, field, capsys):
+        garbage = workdir / "garbage.qsd"
+        garbage.write_bytes(b"XXXX")  # exit 3 once read
+        out = str(workdir / "never5.json")
+        code = run("train", "--train", str(garbage), "--val", str(garbage), "--out", out,
+                   flag, value)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {field} must be" in err and "Traceback" not in err
+        assert not os.path.exists(out)
+
     def test_checkpoint_loadable(self, ckpt):
         params, cfg, meta = load_checkpoint(ckpt)
         assert cfg.n_k == 6
@@ -273,11 +330,17 @@ class TestEval:
         assert "--threads must be >= 1" in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize("tamper", ["fc_vs_use_fc", "fc_shape", "nan_kernel"])
+    @pytest.mark.parametrize("tamper", ["fc_vs_use_fc", "fc_shape", "nan_kernel", "n_k_float",
+                                        "fc_depth_float", "use_fc_string"])
     def test_invalid_checkpoint_exit_3(self, workdir, ckpt, mixed_qsd, tamper, capsys):
         payload = json.loads(Path(ckpt).read_text())
         params = load_checkpoint(ckpt)[0]
-        if tamper == "fc_vs_use_fc":
+        config_types = {"n_k_float": ("n_k", 6.0), "fc_depth_float": ("fc_depth", 4.0),
+                        "use_fc_string": ("use_fc", "no")}
+        if tamper in config_types:
+            setting, value = config_types[tamper]
+            payload["config"][setting] = value
+        elif tamper == "fc_vs_use_fc":
             payload["config"]["use_fc"] = False
         elif tamper == "fc_shape":
             payload["fc"]["weights"] = _encode_array(params.fc_w[..., :-1])
@@ -288,7 +351,17 @@ class TestEval:
         Path(bad).write_text(json.dumps(payload))
         prefix = str(workdir / f"evbad_{tamper}")
         assert run("eval", "--ckpt", bad, "--data", mixed_qsd, "--out-prefix", prefix) == 3
-        assert "checkpoint" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "checkpoint" in err and "Traceback" not in err
+        assert not os.path.exists(prefix + ".means.csv")
+
+    @pytest.mark.parametrize("chunk", ["0", "-1"])
+    def test_bad_chunk_exit_2(self, workdir, ckpt, mixed_qsd, chunk, capsys):
+        prefix = str(workdir / "evchunk")
+        assert run("eval", "--ckpt", ckpt, "--data", mixed_qsd, "--out-prefix", prefix,
+                   "--chunk", chunk) == 2
+        err = capsys.readouterr().err
+        assert "chunk must be >= 1" in err and "Traceback" not in err
         assert not os.path.exists(prefix + ".means.csv")
 
 
@@ -306,6 +379,15 @@ class TestMapCmd:
         pgm = [ln for ln in Path(prefix + ".model.pgm").read_text().split("\n")
                if ln and not ln.startswith("#")]
         assert pgm[0] == "P2" and pgm[1] == "11 11"
+
+    @pytest.mark.parametrize("chunk", ["0", "-1"])
+    def test_bad_chunk_exit_2(self, workdir, ckpt, chunk, capsys):
+        prefix = str(workdir / "mapchunk")
+        assert run("map", "--ckpt", ckpt, "--grid", "11", "--out-prefix", prefix,
+                   "--chunk", chunk) == 2
+        err = capsys.readouterr().err
+        assert "chunk must be >= 1" in err and "Traceback" not in err
+        assert not os.path.exists(prefix + ".model.csv")
 
 
 class TestKernelsCmd:

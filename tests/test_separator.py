@@ -201,6 +201,13 @@ class TestConfig:
             SeparatorConfig(fc_depth=0)
         with pytest.raises(ValueError):
             SeparatorConfig(activation="sigmoid")
+        # the types a JSON checkpoint config could get wrong
+        for setting, value in [
+            ("n_k", 2.0), ("n_k", True), ("n_k", "2"), ("fc_depth", 2.0), ("fc_depth", False),
+            ("use_fc", "no"), ("use_fc", 1), ("tie_weights", 0), ("tie_weights", None),
+        ]:
+            with pytest.raises(ValueError, match=setting):
+                SeparatorConfig(**{setting: value})
 
 
 class TestExtract:
@@ -562,6 +569,10 @@ class TestCheckpoint:
             "bad_base64",
             "truncated",
             "shape_vs_bytes",
+            "n_k_float",
+            "fc_depth_float",
+            "use_fc_string",
+            "tie_weights_int",
         ],
     )
     def test_invalid_weights_rejected(self, tmp_path, tamper):
@@ -571,7 +582,12 @@ class TestCheckpoint:
         save_checkpoint(path, params, cfg)
         payload = json.loads(Path(path).read_text())
         fc = payload["fc"]
-        if tamper == "fc_dropped":
+        config_types = {"n_k_float": ("n_k", 2.0), "fc_depth_float": ("fc_depth", 2.0),
+                        "use_fc_string": ("use_fc", "no"), "tie_weights_int": ("tie_weights", 1)}
+        if tamper in config_types:
+            setting, value = config_types[tamper]
+            payload["config"][setting] = value
+        elif tamper == "fc_dropped":
             payload["fc"] = None
         elif tamper == "fc_added":
             payload["config"]["use_fc"] = False

@@ -2,22 +2,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from classical_states import random_classical_state
 
 from qsep.linalg import kron_all, partial_trace
 from qsep.oracles import CUTS, negativity
 from qsep import states
 from qsep.states import (
-    MapPoint,
     boost_largest_eigenvalue,
     haar_random_pure,
     ket_to_dm,
     map_params,
-    map_point,
     map_state,
     map_states,
     mix,
     random_circuit_state,
-    random_classical_state,
     random_mixed_product,
     random_product_mixture,
     random_separable_pure,
@@ -32,8 +30,8 @@ def purity(rho):
 
 
 def ref_map_point(u, v):
-    """The map parameters one coordinate at a time, as written before the
-    vectorised `map_params`."""
+    """The map parameters (p, a_param, phi, c_boost) one coordinate at a
+    time, as written before the vectorised `map_params`."""
 
     def clamp(x):
         return min(1.0, max(0.0, x))
@@ -45,22 +43,23 @@ def ref_map_point(u, v):
     c = clamp(u + v - 3.0)
     if v < u:
         c += clamp(1.0 - (u + v) / 2.0)
-    return MapPoint(u=u, v=v, p=p, a_param=a, phi=phi, c_boost=c)
+    return p, a, phi, c
 
 
-def ref_map_state(pt):
-    """The map state one point at a time, as written before the batched builder."""
-    a, phi = pt.a_param, pt.phi
+def ref_map_state(params):
+    """The map state of one (p, a_param, phi, c_boost), as written before
+    `map_states`."""
+    p, a, phi, c = params
     s = np.sqrt(1.0 - a * a)
     psi1 = np.array([a, s], dtype=complex)
     psi2 = np.array([np.exp(-0.5j * phi) * s, -a * np.exp(0.5j * phi)])
     k1 = kron_all([psi1] * 3)
     k2 = kron_all([psi2] * 3)
-    rho = pt.p * ket_to_dm(k1) + (1.0 - pt.p) * ket_to_dm(k2)
-    if pt.c_boost > 0.0:
+    rho = p * ket_to_dm(k1) + (1.0 - p) * ket_to_dm(k2)
+    if c > 0.0:
         w, v = np.linalg.eigh(0.5 * (rho + rho.conj().T))
         top = v[:, -1]
-        rho = (rho + pt.c_boost * np.outer(top, top.conj())) / (w.sum() + pt.c_boost)
+        rho = (rho + c * np.outer(top, top.conj())) / (w.sum() + c)
     return rho
 
 
@@ -114,7 +113,7 @@ class TestCircuit:
     def test_non_entangling_is_product(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
-            rho = ket_to_dm(random_circuit_state(3, depth=4, entangling=False, rng=rng))
+            rho = ket_to_dm(random_circuit_state(rng, entangling=False))
             for cut in CUTS:
                 assert negativity(rho, cut) <= 1e-9
 
@@ -125,18 +124,14 @@ class TestCircuit:
         hits = 0
         n = 1000
         for _ in range(n):
-            rho = ket_to_dm(random_circuit_state(3, depth=4, entangling=True, rng=rng))
+            rho = ket_to_dm(random_circuit_state(rng, entangling=True))
             if max(negativity(rho, c) for c in CUTS) > 1e-9:
                 hits += 1
         assert hits / n >= 0.95
 
-    def test_depth_zero_rejected(self):
-        with pytest.raises(ValueError):
-            random_circuit_state(3, depth=0, entangling=True, rng=np.random.default_rng(0))
-
     def test_unit_norm(self):
         rng = np.random.default_rng(6)
-        k = random_circuit_state(3, depth=4, entangling=True, rng=rng)
+        k = random_circuit_state(rng, entangling=True)
         assert abs(np.linalg.norm(k) - 1.0) <= 1e-12
 
 
@@ -250,46 +245,46 @@ class TestBoost:
 
 class TestMapFamily:
     def test_point_a_pure_product(self):
-        pt = map_point(0.5, 0.5)
-        assert pt.p == 0.0 and pt.phi == 0.0 and pt.c_boost == 0.0
-        assert abs(pt.a_param - 2**-0.5) <= 1e-15
-        rho = map_state(pt)
+        p, a, phi, c = map_params(0.5, 0.5)[0]
+        assert p == 0.0 and phi == 0.0 and c == 0.0
+        assert abs(a - 2**-0.5) <= 1e-15
+        rho = map_state(0.5, 0.5)
         assert abs(purity(rho) - 1.0) <= 1e-10
         for cut in CUTS:
             assert negativity(rho, cut) <= 1e-10
 
     def test_pure_when_p_zero_and_no_boost(self):
         for u, v in ((0.3, 0.2), (0.5, 0.5), (0.1, 0.4)):
-            pt = map_point(u, v)
-            if pt.p in (0.0, 1.0) and pt.c_boost == 0.0:
-                assert abs(purity(map_state(pt)) - 1.0) <= 1e-10
+            p, _, _, c = map_params(u, v)[0]
+            if p in (0.0, 1.0) and c == 0.0:
+                assert abs(purity(map_state(u, v)) - 1.0) <= 1e-10
 
     def test_square_interior_zero_discord(self):
         from qsep.oracles import zero_discord_flags
 
         for u, v in ((0.8, 1.2), (1.0, 1.0), (0.7, 1.3), (1.2, 1.4)):
-            pt = map_point(u, v)
-            assert pt.phi == 0.0 and pt.c_boost == 0.0 and 0.0 < pt.p <= 0.5
-            assert zero_discord_flags(map_state(pt)[None]).all()
+            p, _, phi, c = map_params(u, v)[0]
+            assert phi == 0.0 and c == 0.0 and 0.0 < p <= 0.5
+            assert zero_discord_flags(map_state(u, v)[None]).all()
 
     def test_mirror_symmetry(self):
-        a = map_point(0.4, 1.7)
-        b = map_point(1.7, 0.4)
-        assert a.p == b.p and a.a_param == b.a_param and a.phi == b.phi
+        # (p, a_param, phi) mirror; the boost below the diagonal does not
+        a = map_params(0.4, 1.7)[0]
+        b = map_params(1.7, 0.4)[0]
+        assert np.array_equal(a[:3], b[:3])
 
     def test_out_of_domain_rejected(self):
         with pytest.raises(ValueError):
-            map_point(-0.1, 1.0)
+            map_state(-0.1, 1.0)
         with pytest.raises(ValueError):
-            map_point(1.0, 2.3)
+            map_state(1.0, 2.3)
         with pytest.raises(ValueError):
             map_params(np.zeros(2), np.zeros(3))
 
     @pytest.mark.parametrize("grid", [11, 21, 101, 201])
     def test_params_bit_identical_to_scalar_reference(self, grid):
         us = np.linspace(0.0, 2.0, grid)
-        want = [ref_map_point(u, v) for v in us for u in us]
-        want = np.array([[pt.p, pt.a_param, pt.phi, pt.c_boost] for pt in want])
+        want = np.array([ref_map_point(u, v) for v in us for u in us])
         got = map_params(*np.meshgrid(us, us))
         assert got.shape == (grid * grid, 4)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -303,17 +298,17 @@ class TestMapFamily:
     def test_all_states_valid(self):
         for u in np.linspace(0, 2, 9):
             for v in np.linspace(0, 2, 9):
-                assert_density_matrix(map_state(map_point(u, v)))
+                assert_density_matrix(map_state(u, v))
 
     def test_batched_builder_bit_identical_to_reference(self):
         # grid 41 holds cells with a degenerate top eigenvalue before the boost, where
         # any change in the arithmetic can pick another eigenvector
         us = np.linspace(0.0, 2.0, 41)
-        pts = [map_point(u, v) for v in us for u in us]
+        pts = [ref_map_point(u, v) for v in us for u in us]
         want = np.stack([ref_map_state(pt) for pt in pts])
         assert np.array_equal(map_states(map_params(*np.meshgrid(us, us))), want)
-        assert np.array_equal(map_state(pts[-1]), want[-1])
-        assert sum(pt.c_boost > 0.0 for pt in pts) > 0
+        assert np.array_equal(map_state(us[-1], us[-1]), want[-1])
+        assert sum(c > 0.0 for _, _, _, c in pts) > 0
 
     def test_batched_builder_peak_memory(self):
         # the mixture is formed in place: the traced peak stays within 3.5
@@ -335,8 +330,8 @@ class TestMapFamily:
         seen = set()
         for u in np.linspace(0, 2, 21):
             for v in np.linspace(0, 2, 21):
-                pt = map_point(u, v)
-                label = classify(map_state(pt), known_separable=(pt.c_boost == 0.0))
+                c = map_params(u, v)[0, 3]
+                label = classify(map_state(u, v), known_separable=(c == 0.0))
                 seen.add(label.klass)
         assert seen == set(StateClass)
 

@@ -401,7 +401,7 @@ def reject_every_draw(monkeypatch, max_draws=5):
         return np.eye(8, dtype=complex) / 8
 
     monkeypatch.setattr(states, "haar_random_pure", product_ket)
-    monkeypatch.setattr(states, "random_circuit_state", product_ket)
+    monkeypatch.setattr(states, "random_circuit_state", lambda rng, entangling: product_ket())
     for name in ("antipodal_classical", "random_product_mixture", "reduce_from_larger"):
         monkeypatch.setattr(states, name, product_mixed)
     monkeypatch.setattr(training, "MAX_DRAWS", max_draws)
@@ -494,7 +494,7 @@ class TestTrainLoop:
         m = [np.zeros(s) for s in shapes]
         v = [np.zeros(s) for s in shapes]
         opt = _Adam(params, cfg)
-        b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+        b1, b2, eps = training.ADAM_BETA1, training.ADAM_BETA2, training.ADAM_EPS
         for t in range(1, 31):
             grads = [rng.normal(size=s) * 10.0 ** rng.uniform(-6, 1, size=s) for s in shapes]
             opt.step(params, grads)
@@ -504,7 +504,7 @@ class TestTrainLoop:
                 vi *= b2
                 vi += (1.0 - b2) * g * g
                 a -= cfg.learning_rate * (mi / (1.0 - b1**t)) / (
-                    np.sqrt(vi / (1.0 - b2**t)) + cfg.adam_eps
+                    np.sqrt(vi / (1.0 - b2**t)) + eps
                 )
             for got, ref in zip(params, want):
                 assert np.array_equal(got, ref)
@@ -512,8 +512,12 @@ class TestTrainLoop:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
-        with pytest.raises(ValueError):
-            TrainConfig(learning_rate=-1.0)
+        for lr in (-1.0, 0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="learning_rate"):
+                TrainConfig(learning_rate=lr)
+        for noise in (-0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="init_noise"):
+                TrainConfig(init_noise=noise)
         with pytest.raises(ValueError):
             TrainConfig(subset="Everything")
         with pytest.raises(ValueError):
