@@ -1,12 +1,14 @@
 """Command-line entry point.
 
 Subcommands: gen, train, eval, map, kernels, verify. One table, `COMMANDS`,
-declares each subcommand's settings with their defaults and flag options;
-the parser is built from it and `main` resolves every setting in one place:
-CLI > config file (--config, JSON object keyed by setting name) > default.
-Every run except verify writes a manifest JSON echoing the resolved
-settings. Exit codes: 0 success, 2 usage error, 3 data format error,
-4 training divergence, 5 a dataset generator hit its rejection-sampling cap.
+declares each subcommand's settings as argparse options; the parser is built
+from it and converts and checks every setting, whether it comes from a flag or
+from a config file (--config, JSON object keyed by setting name). `main` turns
+the command's config values into flags put ahead of the user's, so a flag
+beats its config value and a setting set by neither takes its default. Every
+run except verify writes a manifest JSON echoing the parsed settings. Exit
+codes: 0 success, 2 usage error, 3 data format error, 4 training divergence,
+5 a dataset generator hit its rejection-sampling cap.
 """
 from __future__ import annotations
 
@@ -31,71 +33,33 @@ from .separator import (
 )
 from .training import OPTIMIZERS, SUBSETS, TrainConfig
 
-REQUIRED = object()  # default of a setting that must be given
-
 
 def _flag(setting: str) -> str:
     return "--" + setting.replace("_", "-")
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _config_flags(command: str, path: str) -> list[str]:
+    """The command's settings in the config file at `path` as flag tokens.
+    null leaves a setting unset; true gives a switch and false leaves it off.
+    Keys of other commands are ignored."""
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            config = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
+    if not isinstance(config, dict):
         raise DataFormatError(f"config file {path} must contain a JSON object")
-    return cfg
-
-
-def _resolve(args: argparse.Namespace, settings: dict) -> dict:
-    """Each setting from its flag, else the config file, else its default.
-    A config value is converted and checked as the flag's would be; a null
-    one counts as unset."""
-    config = _load_config(args.config)
-    out = {}
-    for key, (default, opts) in settings.items():
-        flag = _flag(key)
-        value = getattr(args, key)
-        if value is None and config.get(key) is not None:
-            try:
-                value = opts.get("type", lambda v: v)(config[key])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"config value for {flag}: {exc}") from exc
-            if value not in opts.get("choices", (value,)):
-                raise ValueError(f"{flag} must be one of {opts['choices']}")
-        if value is None:
-            value = default
-        if default is REQUIRED and value in (REQUIRED, ""):
-            raise ValueError(f"{flag} is required")
-        out[key] = value
-    return out
-
-
-def _threads(value) -> int:
-    """--threads, else QSEP_THREADS (an empty value counts as unset), else the
-    cpu count. An error names where the bad value came from."""
-    source = "--threads"
-    if value is None:
-        value, source = os.environ.get("QSEP_THREADS") or None, "QSEP_THREADS"
-    if value is None:
-        return os.cpu_count() or 1
-    try:
-        n = int(value)
-    except ValueError:
-        raise ValueError(f"{source} must be an integer, got {value!r}") from None
-    if n < 1:
-        raise ValueError(f"{source} must be >= 1, got {n}")
-    return n
-
-
-def _check_fraction(r: dict, key: str) -> None:
-    """A share of records to verify, checked before any file is read."""
-    if not 0.0 < r[key] <= 1.0:
-        raise ValueError(f"{_flag(key)} must be in (0, 1], got {r[key]}")
+    tokens = []
+    for key, opts in COMMANDS[command][2].items():
+        value, flag = config.get(key), _flag(key)
+        switch = opts.get("action") == "store_true"
+        if value is None or (switch and value is False):
+            continue
+        if switch != isinstance(value, bool) or isinstance(value, (list, dict)):
+            wanted = "true or false" if switch else "a string or a number"
+            raise ValueError(f"config value for {flag} must be {wanted}, got {json.dumps(value)}")
+        tokens.append(flag if switch else f"{flag}={value}")
+    return tokens
 
 
 def _write_manifest(path: str, resolved: dict) -> None:
@@ -104,12 +68,10 @@ def _write_manifest(path: str, resolved: dict) -> None:
         fh.write("\n")
 
 
-# --- handlers: each takes the resolved settings --------------------------------
+# --- handlers: each takes the parsed settings ----------------------------------
 
 
 def cmd_gen(r: dict) -> int:
-    if r["count"] < 1:
-        raise ValueError("--count must be a positive integer")
     ds = training.build_dataset(r["kind"], r["count"], r["seed"])
     training.save_qsd(r["out"], ds)
     if r["csv"]:
@@ -121,7 +83,6 @@ def cmd_gen(r: dict) -> int:
 
 
 def cmd_train(r: dict) -> int:
-    _check_fraction(r, "verify_fraction")
     # both configs check their settings before any data is read
     sep_cfg = SeparatorConfig(
         n_k=r["nk"],
@@ -175,8 +136,9 @@ def cmd_eval(r: dict) -> int:
         raise ValueError("--ckpt is required unless --model baseline")
     else:
         params, sep_cfg, _ = load_checkpoint(r["ckpt"])
-        threads = _threads(r["threads"])
-        losses = evaluation.eval_losses(ds.mats, params, sep_cfg, chunk=r["chunk"], threads=threads)
+        losses = evaluation.eval_losses(
+            ds.mats, params, sep_cfg, chunk=r["chunk"], threads=r["threads"]
+        )
         sha = checkpoint_sha(r["ckpt"])
     positive = evaluation.positives_for_mode(ds.labels, r["label"])
     result = evaluation.sweep(losses, positive)
@@ -204,9 +166,8 @@ def cmd_eval(r: dict) -> int:
 def cmd_map(r: dict) -> int:
     params, sep_cfg, _ = load_checkpoint(r["ckpt"])
     sha = checkpoint_sha(r["ckpt"])
-    threads = _threads(r["threads"])
     render = evaluation.render_map(
-        params, sep_cfg, grid=r["grid"], chunk=r["chunk"], threads=threads
+        params, sep_cfg, grid=r["grid"], chunk=r["chunk"], threads=r["threads"]
     )
     prefix, seed = r["out_prefix"], r["seed"]
     evaluation.write_map_csv(f"{prefix}.model.csv", render, render.losses, seed, sha)
@@ -228,7 +189,6 @@ def cmd_kernels(r: dict) -> int:
 
 
 def cmd_verify(r: dict) -> int:
-    _check_fraction(r, "fraction")
     ds = training.load_qsd(r["data"])
     training.verify_labels(ds, fraction=r["fraction"], seed=r["seed"])
     counts = np.bincount(ds.klasses(), minlength=len(STATE_CLASSES))
@@ -237,66 +197,93 @@ def cmd_verify(r: dict) -> int:
     return 0
 
 
-# --- the settings table ----------------------------------------------------------
-# subcommand -> (help, handler, {setting: (default, add_argument options)}); a
-# setting's flag is `_flag(setting)`. Every subcommand also takes --config.
+# --- the settings table: argparse runs each `type` on every value, flag or config
+
+
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
+def fraction(text: str) -> float:
+    """A share of records, in (0, 1]."""
+    x = float(text)
+    if not 0.0 < x <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {x}")
+    return x
+
+
+def nonempty(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
+# subcommand -> (help, handler, {setting: add_argument options}); a setting's
+# flag is `_flag(setting)`. Every subcommand also takes --config.
 
 INT, FLOAT, SWITCH = {"type": int}, {"type": float}, {"action": "store_true"}
-SEED = {"seed": (0, INT)}
-SCORING = {"threads": (None, INT), "chunk": (evaluation.DEFAULT_CHUNK, INT)}
+PATH = {"type": nonempty, "required": True}
+SEED = {"seed": {**INT, "default": 0}}
+SCORING = {
+    "threads": {"type": positive_int, "default": os.cpu_count() or 1},
+    "chunk": {"type": positive_int, "default": evaluation.DEFAULT_CHUNK},
+}
 
 COMMANDS = {
     "gen": ("generate a labeled dataset (QSD1)", cmd_gen, {
         **SEED,
-        "kind": (REQUIRED, {"choices": tuple(training.PLANS)}),
-        "count": (REQUIRED, INT),
-        "out": (REQUIRED, {}),
-        "csv": (False, {**SWITCH, "help": "also write a CSV mirror"}),
+        "kind": {"choices": tuple(training.PLANS), "required": True},
+        "count": {"type": positive_int, "required": True},
+        "out": PATH,
+        "csv": {**SWITCH, "help": "also write a CSV mirror"},
     }),
     "train": ("train the separator", cmd_train, {
         **SEED,
-        "train": (REQUIRED, {"help": "training dataset (QSD1)"}),
-        "val": (REQUIRED, {"help": "validation dataset (QSD1)"}),
-        "out": (REQUIRED, {"help": "checkpoint output path (JSON)"}),
-        "epochs": (TrainConfig.epochs, INT),
-        "nk": (SeparatorConfig.n_k, {**INT, "help": "channel count"}),
-        "lr": (TrainConfig.learning_rate, FLOAT),
-        "batch": (TrainConfig.batch_size, INT),
-        "subset": (TrainConfig.subset, {"choices": SUBSETS}),
-        "no_fc": (not SeparatorConfig.use_fc, SWITCH),
-        "untie": (not SeparatorConfig.tie_weights, SWITCH),
-        "optimizer": (TrainConfig.optimizer, {"choices": OPTIMIZERS}),
-        "init_noise": (TrainConfig.init_noise, FLOAT),
-        "fc_depth": (SeparatorConfig.fc_depth, INT),
-        "activation": (SeparatorConfig.activation, {"choices": ACTIVATIONS}),
-        "verify_fraction": (training.VERIFY_FRACTION, FLOAT),
+        "train": {**PATH, "help": "training dataset (QSD1)"},
+        "val": {**PATH, "help": "validation dataset (QSD1)"},
+        "out": {**PATH, "help": "checkpoint output path (JSON)"},
+        "epochs": {**INT, "default": TrainConfig.epochs},
+        "nk": {**INT, "default": SeparatorConfig.n_k, "help": "channel count"},
+        "lr": {**FLOAT, "default": TrainConfig.learning_rate},
+        "batch": {**INT, "default": TrainConfig.batch_size},
+        "subset": {"choices": SUBSETS, "default": TrainConfig.subset},
+        "no_fc": {**SWITCH, "default": not SeparatorConfig.use_fc},
+        "untie": {**SWITCH, "default": not SeparatorConfig.tie_weights},
+        "optimizer": {"choices": OPTIMIZERS, "default": TrainConfig.optimizer},
+        "init_noise": {**FLOAT, "default": TrainConfig.init_noise},
+        "fc_depth": {**INT, "default": SeparatorConfig.fc_depth},
+        "activation": {"choices": ACTIVATIONS, "default": SeparatorConfig.activation},
+        "verify_fraction": {"type": fraction, "default": training.VERIFY_FRACTION},
     }),
     "eval": ("threshold sweep + metrics on a dataset", cmd_eval, {
         **SEED,
-        "ckpt": (None, {}),
-        "data": (REQUIRED, {}),
-        "label": ("discord", {"choices": evaluation.LABEL_MODES}),
-        "model": ("separator", {"choices": ("separator", "baseline")}),
-        "tau": (None, {**FLOAT, "help": "also emit a confusion matrix"}),
-        "out_prefix": (REQUIRED, {}),
+        "ckpt": {},
+        "data": PATH,
+        "label": {"choices": evaluation.LABEL_MODES, "default": "discord"},
+        "model": {"choices": ("separator", "baseline"), "default": "separator"},
+        "tau": {**FLOAT, "help": "also emit a confusion matrix"},
+        "out_prefix": PATH,
         **SCORING,
     }),
     "map": ("render the 2-D state-family map", cmd_map, {
         **SEED,
-        "ckpt": (REQUIRED, {}),
-        "grid": (evaluation.DEFAULT_GRID, INT),
-        "out_prefix": (REQUIRED, {}),
+        "ckpt": PATH,
+        "grid": {**INT, "default": evaluation.DEFAULT_GRID},
+        "out_prefix": PATH,
         **SCORING,
     }),
     "kernels": ("export kernels from a checkpoint to CSV", cmd_kernels, {
         **SEED,
-        "ckpt": (REQUIRED, {}),
-        "out": (REQUIRED, {}),
+        "ckpt": PATH,
+        "out": PATH,
     }),
     "verify": ("re-derive labels for a dataset sample", cmd_verify, {
         **SEED,
-        "data": (REQUIRED, {}),
-        "fraction": (training.VERIFY_FRACTION, FLOAT),
+        "data": PATH,
+        "fraction": {"type": fraction, "default": training.VERIFY_FRACTION},
     }),
 }
 
@@ -310,16 +297,23 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (help_, _, settings) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_)
         sp.add_argument("--config", help="JSON config file (flags override it)")
-        for key, (_, opts) in settings.items():
-            sp.add_argument(_flag(key), default=None, **opts)
+        for key, opts in settings.items():
+            sp.add_argument(_flag(key), **opts)
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    _, handler, settings = COMMANDS[args.command]
+    argv = sys.argv[1:] if argv is None else list(argv)
+    pre = argparse.ArgumentParser(prog="qsep", add_help=False)
+    pre.add_argument("--config")
     try:
-        return handler(_resolve(args, settings))
+        config = pre.parse_known_args(argv)[0].config
+        if config is not None and argv[0] in COMMANDS:
+            # after the command name, ahead of the user's flags: the last value wins
+            argv = argv[:1] + _config_flags(argv[0], config) + argv[1:]
+        settings = vars(build_parser().parse_args(argv))
+        del settings["config"]
+        return COMMANDS[settings.pop("command")][1](settings)
     except DataFormatError as exc:
         print(f"data format error: {exc}", file=sys.stderr)
         return 3

@@ -231,29 +231,35 @@ def save_qsd_csv(path: str, ds: Dataset) -> None:
 # and picks the flavor where a family has more than one.
 
 
-def _record(rho: np.ndarray, label: StateLabel) -> tuple[np.ndarray, int]:
-    return rho, pack_label(label)
-
-
-def _draws_exhausted(family: str) -> RejectionLimitError:
-    return RejectionLimitError(
+def _sample(family: str, klass: StateClass, draw) -> tuple[np.ndarray, int]:
+    """The first state `draw()` returns that one `classify` call labels as the
+    family's `klass`, with its packed label. An entangled state must also have
+    a cut's negativity above ENTANGLED_FILTER_TOL (above the oracle's flag
+    threshold). A draw of None counts as rejected; after MAX_DRAWS draws this
+    raises RejectionLimitError."""
+    entangled = klass is StateClass.ENTANGLED
+    for _ in range(MAX_DRAWS):
+        rho = draw()
+        if rho is None:
+            continue
+        label = classify(rho, known_separable=not entangled)
+        if label.klass is klass and (not entangled or max(label.negativity) > ENTANGLED_FILTER_TOL):
+            return rho, pack_label(label)
+    raise RejectionLimitError(
         f"{family}: no acceptable state in {MAX_DRAWS} draws (training.MAX_DRAWS)"
     )
 
 
 def gen_pure_separable(rng: np.random.Generator, toggle: int = 0):
     """Pure product state: Haar product ket or non-entangling circuit."""
-    if toggle % 2 == 0:
-        psi = states.random_separable_pure(rng)
-    else:
-        psi = states.random_circuit_state(rng, entangling=False)
-    rho = states.ket_to_dm(psi)
-    return _record(rho, classify(rho, known_separable=True))
+    return _sample("pure_separable", StateClass.PRODUCT, lambda: states.ket_to_dm(
+        states.random_separable_pure(rng) if toggle % 2 == 0
+        else states.random_circuit_state(rng, entangling=False)
+    ))
 
 
 def gen_mixed_product(rng: np.random.Generator, toggle: int = 0):
-    rho = states.random_mixed_product(rng)
-    return _record(rho, classify(rho, known_separable=True))
+    return _sample("mixed_product", StateClass.PRODUCT, lambda: states.random_mixed_product(rng))
 
 
 def gen_zero_discord(rng: np.random.Generator, toggle: int = 0):
@@ -269,36 +275,22 @@ def gen_zero_discord(rng: np.random.Generator, toggle: int = 0):
     constructions dilutes the signal below what a short training run can
     amplify.
     """
-    for _ in range(MAX_DRAWS):
-        rho = states.antipodal_classical(rng, shared_basis=toggle % 3 == 2)
-        label = classify(rho, known_separable=True)
-        if label.klass is StateClass.NON_DISCORDANT:
-            return _record(rho, label)
-    raise _draws_exhausted("zero_discord")
+    return _sample("zero_discord", StateClass.NON_DISCORDANT, lambda: states.antipodal_classical(
+        rng, shared_basis=toggle % 3 == 2
+    ))
 
 
 def gen_discordant_separable(rng: np.random.Generator, toggle: int = 0):
     """Separable but discordant: Dirichlet mixtures of random product kets."""
-    for _ in range(MAX_DRAWS):
-        rho = states.random_product_mixture(rng)
-        label = classify(rho, known_separable=True)
-        if label.klass is StateClass.DISCORDANT_SEPARABLE:
-            return _record(rho, label)
-    raise _draws_exhausted("discordant_separable")
+    return _sample("discordant_separable", StateClass.DISCORDANT_SEPARABLE,
+                   lambda: states.random_product_mixture(rng))
 
 
 def gen_pure_entangled(rng: np.random.Generator, toggle: int = 0):
-    for _ in range(MAX_DRAWS):
-        if toggle % 2 == 0:
-            psi = states.haar_random_pure(3, rng)
-        else:
-            psi = states.random_circuit_state(rng, entangling=True)
-        rho = states.ket_to_dm(psi)
-        label = classify(rho)
-        # the filter exceeds the oracle's flag threshold, so this is Entangled
-        if max(label.negativity) > ENTANGLED_FILTER_TOL:
-            return _record(rho, label)
-    raise _draws_exhausted("pure_entangled")
+    return _sample("pure_entangled", StateClass.ENTANGLED, lambda: states.ket_to_dm(
+        states.haar_random_pure(3, rng) if toggle % 2 == 0
+        else states.random_circuit_state(rng, entangling=True)
+    ))
 
 
 def _near_boundary_entangled(rng: np.random.Generator) -> np.ndarray | None:
@@ -328,14 +320,12 @@ def gen_mixed_entangled(rng: np.random.Generator, toggle: int = 0):
 
     Half the draws dilute an entangled ket to just past the entanglement
     boundary; the rest mix entangled kets or trace a larger Haar state.
-    Accepted only when some cut's negativity clears the filter.
     """
-    for _ in range(MAX_DRAWS):
+
+    def draw():
         if toggle % 4 < 2:
-            rho = _near_boundary_entangled(rng)
-            if rho is None:
-                continue
-        elif toggle % 4 == 2:
+            return _near_boundary_entangled(rng)
+        if toggle % 4 == 2:
             m = int(rng.integers(2, 5))
             kets = [
                 states.haar_random_pure(3, rng)
@@ -343,13 +333,10 @@ def gen_mixed_entangled(rng: np.random.Generator, toggle: int = 0):
                 else states.random_circuit_state(rng, entangling=True)
                 for _ in range(m)
             ]
-            rho = states.mix([states.ket_to_dm(k) for k in kets], rng.dirichlet(np.ones(m)))
-        else:
-            rho = states.reduce_from_larger(int(rng.integers(4, 6)), rng)
-        label = classify(rho)
-        if max(label.negativity) > ENTANGLED_FILTER_TOL:  # so Entangled
-            return _record(rho, label)
-    raise _draws_exhausted("mixed_entangled")
+            return states.mix([states.ket_to_dm(k) for k in kets], rng.dirichlet(np.ones(m)))
+        return states.reduce_from_larger(int(rng.integers(4, 6)), rng)
+
+    return _sample("mixed_entangled", StateClass.ENTANGLED, draw)
 
 
 def plan_counts(kind: str, count: int) -> dict[str, int]:

@@ -14,7 +14,12 @@ from qsep.training import TrainConfig, build_dataset, load_qsd
 
 
 def run(*argv):
-    return main(list(argv))
+    """main's exit code, or the code of the SystemExit argparse raises on a
+    usage error."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
 
 
 @pytest.fixture(scope="module")
@@ -222,8 +227,26 @@ class TestTrain:
                    "--epochs", "1", "--verify-fraction", fraction)
         assert code == 2
         err = capsys.readouterr().err
-        assert "--verify-fraction must be in (0, 1]" in err and "Traceback" not in err
+        assert "argument --verify-fraction: must be in (0, 1]" in err and "Traceback" not in err
         assert not os.path.exists(out)
+
+    def test_config_file_equals_flags(self, tmp_path, train_qsd, val_qsd, monkeypatch):
+        """The same run from flags and from a config file writes the same bytes."""
+        flags = ["--train", train_qsd, "--val", val_qsd, "--out", "model.json",
+                 "--epochs", "1", "--nk", "3", "--batch", "64", "--seed", "5",
+                 "--lr", "0.002", "--untie"]
+        config = {"train": train_qsd, "val": val_qsd, "out": "model.json", "epochs": 1,
+                  "nk": 3, "batch": 64, "seed": 5, "lr": 0.002, "untie": True,
+                  "no_fc": False, "init_noise": None, "grid": 9}  # grid: not a train setting
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        for name, argv in (("flags", flags), ("config", ["--config", "../cfg.json"])):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            assert run("train", *argv) == 0
+        for suffix in ("", ".losses.csv", ".manifest.json"):
+            written = [(tmp_path / name / f"model.json{suffix}").read_bytes()
+                       for name in ("flags", "config")]
+            assert written[0] == written[1]
 
     def test_corrupt_dataset_exit_3(self, workdir, product_qsd):
         bad = str(workdir / "bad.qsd")
@@ -286,49 +309,59 @@ class TestEval:
                    "--out-prefix", prefix, "--label", "entanglement")
         assert code == 2
 
-    def test_threads_env(self, workdir, ckpt, mixed_qsd, monkeypatch):
+    def test_threads_config(self, workdir, ckpt, mixed_qsd, tmp_path):
+        # --threads from a config file; the thread count never changes a loss
         base = str(workdir / "dt1")
         argv = ["--ckpt", ckpt, "--data", mixed_qsd]
         assert run("eval", *argv, "--out-prefix", base, "--threads", "1") == 0
-        monkeypatch.setenv("QSEP_THREADS", "3")
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"threads": 3}))
         p1 = str(workdir / "dt")
-        assert run("eval", *argv, "--out-prefix", p1) == 0
-        assert (
-            Path(p1 + ".sweep.csv").read_text() == Path(base + ".sweep.csv").read_text()
-        )
+        assert run("eval", *argv, "--out-prefix", p1, "--config", str(cfgp)) == 0
+        assert Path(p1 + ".sweep.csv").read_text() == Path(base + ".sweep.csv").read_text()
+        assert json.loads(Path(p1 + ".manifest.json").read_text())["threads"] == 3
 
     @pytest.mark.parametrize("command", ["eval", "map"])
     @pytest.mark.parametrize("value", ["abc", "0"])
-    def test_bad_threads_env_names_variable(self, workdir, ckpt, mixed_qsd, monkeypatch,
-                                            capsys, command, value):
-        monkeypatch.setenv("QSEP_THREADS", value)
-        prefix = str(workdir / f"badenv_{command}_{value}")
-        argv = ["--ckpt", ckpt, "--out-prefix", prefix]
+    def test_bad_threads_config_names_flag(self, workdir, ckpt, mixed_qsd, tmp_path, capsys,
+                                           command, value):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"threads": value}))
+        prefix = str(workdir / f"badcfg_{command}_{value}")
+        argv = ["--ckpt", ckpt, "--out-prefix", prefix, "--config", str(cfgp)]
         argv += ["--data", mixed_qsd] if command == "eval" else ["--grid", "5"]
         assert run(command, *argv) == 2
         err = capsys.readouterr().err
-        assert "QSEP_THREADS" in err and "--threads" not in err
+        assert "argument --threads:" in err and "Traceback" not in err
         assert not os.path.exists(prefix + ".manifest.json")
 
-    def test_empty_threads_env_is_unset(self, workdir, ckpt, mixed_qsd, monkeypatch):
-        prefixes = []
-        for value in ("", None):
-            if value is None:
-                monkeypatch.delenv("QSEP_THREADS", raising=False)
-            else:
-                monkeypatch.setenv("QSEP_THREADS", value)
-            prefixes.append(str(workdir / f"emptyenv_{value is None}"))
-            assert run("eval", "--ckpt", ckpt, "--data", mixed_qsd, "--out-prefix", prefixes[-1]) == 0
-        sweeps = [Path(p + ".sweep.csv").read_text() for p in prefixes]
-        assert sweeps[0] == sweeps[1]
+    def test_null_threads_config_is_unset(self, workdir, ckpt, mixed_qsd, tmp_path):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"threads": None}))
+        prefix = str(workdir / "nullcfg")
+        assert run("eval", "--ckpt", ckpt, "--data", mixed_qsd, "--out-prefix", prefix,
+                   "--config", str(cfgp)) == 0
+        mf = json.loads(Path(prefix + ".manifest.json").read_text())
+        assert mf["threads"] == (os.cpu_count() or 1)
 
     def test_bad_threads_flag_names_flag(self, workdir, ckpt, mixed_qsd, capsys):
         prefix = str(workdir / "badflag")
         code = run("eval", "--ckpt", ckpt, "--data", mixed_qsd, "--out-prefix", prefix,
                    "--threads", "0")
         assert code == 2
-        assert "--threads must be >= 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "argument --threads: must be >= 1, got 0" in err and "Traceback" not in err
+        assert not os.path.exists(prefix + ".manifest.json")
 
+    @pytest.mark.parametrize("flag", ["--chunk", "--threads"])
+    def test_baseline_bad_count_exit_2(self, workdir, mixed_qsd, flag, capsys):
+        # checked by the parser, so on the baseline path too, which uses neither
+        prefix = str(workdir / "evbase_bad")
+        assert run("eval", "--model", "baseline", "--data", mixed_qsd, "--out-prefix", prefix,
+                   flag, "0") == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be >= 1, got 0" in err and "Traceback" not in err
+        assert not os.path.exists(prefix + ".sweep.csv")
 
     @pytest.mark.parametrize("tamper", ["fc_vs_use_fc", "fc_shape", "nan_kernel", "n_k_float",
                                         "fc_depth_float", "use_fc_string"])
@@ -361,7 +394,7 @@ class TestEval:
         assert run("eval", "--ckpt", ckpt, "--data", mixed_qsd, "--out-prefix", prefix,
                    "--chunk", chunk) == 2
         err = capsys.readouterr().err
-        assert "chunk must be >= 1" in err and "Traceback" not in err
+        assert f"argument --chunk: must be >= 1, got {chunk}" in err and "Traceback" not in err
         assert not os.path.exists(prefix + ".means.csv")
 
 
@@ -386,7 +419,7 @@ class TestMapCmd:
         assert run("map", "--ckpt", ckpt, "--grid", "11", "--out-prefix", prefix,
                    "--chunk", chunk) == 2
         err = capsys.readouterr().err
-        assert "chunk must be >= 1" in err and "Traceback" not in err
+        assert f"argument --chunk: must be >= 1, got {chunk}" in err and "Traceback" not in err
         assert not os.path.exists(prefix + ".model.csv")
 
 
@@ -411,7 +444,7 @@ class TestVerifyCmd:
     def test_fraction_outside_unit_interval_exit_2(self, product_qsd, fraction, capsys):
         assert run("verify", "--data", product_qsd, "--fraction", fraction) == 2
         err = capsys.readouterr().err
-        assert "--fraction must be in (0, 1]" in err and "Traceback" not in err
+        assert "argument --fraction: must be in (0, 1]" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("bit", [1, 2])
     def test_inconsistent_derived_bit_exit_3(self, workdir, product_qsd, bit, capsys):
@@ -592,6 +625,9 @@ class TestSettingsContract:
 
     @pytest.mark.parametrize("command,setting,value", [
         ("gen", "count", "many"), ("train", "optimizer", "lbfgs"), ("eval", "model", "oracle"),
+        # no truncation, no bool for a number, no truthy string for a switch
+        ("train", "nk", 2.7), ("train", "epochs", True), ("gen", "csv", "yes"),
+        ("gen", "out", ["a"]), ("map", "chunk", 0),
     ])
     def test_bad_config_value_exit_2(self, command, setting, value, command_argv, tmp_path,
                                      capsys):
@@ -603,7 +639,25 @@ class TestSettingsContract:
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(json.dumps({setting: value}))
         assert run(command, *argv, "--config", str(cfgp)) == 2
-        assert flag in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    @pytest.mark.parametrize("command,flag", [
+        ("gen", "out"), ("train", "out"), ("train", "val"), ("eval", "out-prefix"),
+        ("eval", "data"), ("map", "out-prefix"), ("kernels", "out"), ("verify", "data"),
+    ])
+    def test_empty_path_exit_2(self, command, flag, command_argv, tmp_path, monkeypatch,
+                               capsys):
+        # an empty prefix would write ".sweep.csv" and the like into the working directory
+        argv, _ = command_argv(command)
+        work = tmp_path / "cwd"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert run(command, *_without(argv, "--" + flag), "--" + flag, "") == 2
+        err = capsys.readouterr().err
+        assert f"argument --{flag}: must not be empty" in err
+        assert os.listdir(tmp_path) == ["cwd"] and os.listdir(work) == []
 
     @pytest.mark.parametrize("command,suffix", OUTPUTS)
     def test_failed_write_keeps_previous_output(self, command, suffix, command_argv,

@@ -422,6 +422,16 @@ class TestRejectionCap:
             gen(np.random.default_rng(0), toggle=toggle)
         assert len(draws) >= 5
 
+    def test_product_family_rejects_a_non_product_state(self, monkeypatch):
+        # a classical, non-product state from the mixed-product source is never
+        # stored under the product label
+        classical = np.zeros((8, 8), dtype=complex)
+        classical[0, 0] = classical[7, 7] = 0.5
+        monkeypatch.setattr(states, "random_mixed_product", lambda rng: classical)
+        monkeypatch.setattr(training, "MAX_DRAWS", 3)
+        with pytest.raises(RejectionLimitError, match="^mixed_product: no acceptable state in 3"):
+            training.gen_mixed_product(np.random.default_rng(0))
+
     def test_each_draw_counts(self, monkeypatch):
         draws = reject_every_draw(monkeypatch, max_draws=7)
         with pytest.raises(RejectionLimitError):
