@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -129,11 +130,14 @@ def cmd_train(r: dict) -> int:
 
 
 def cmd_eval(r: dict) -> int:
-    ds = training.load_qsd(r["data"])
-    if r["model"] == "baseline":
-        losses, sha = baseline_losses(ds.mats), "baseline"
-    elif not r["ckpt"]:
+    baseline = r["model"] == "baseline"
+    if baseline and r["ckpt"]:
+        raise ValueError("--ckpt cannot be used with --model baseline")
+    if not baseline and not r["ckpt"]:
         raise ValueError("--ckpt is required unless --model baseline")
+    ds = training.load_qsd(r["data"])
+    if baseline:
+        losses, sha = baseline_losses(ds.mats), "baseline"
     else:
         params, sep_cfg, _ = load_checkpoint(r["ckpt"])
         losses = evaluation.eval_losses(
@@ -207,6 +211,13 @@ def positive_int(text: str) -> int:
     return n
 
 
+def finite_float(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite, got {x}")
+    return x
+
+
 def fraction(text: str) -> float:
     """A share of records, in (0, 1]."""
     x = float(text)
@@ -244,7 +255,7 @@ COMMANDS = {
         **SEED,
         "train": {**PATH, "help": "training dataset (QSD1)"},
         "val": {**PATH, "help": "validation dataset (QSD1)"},
-        "out": {**PATH, "help": "checkpoint output path (JSON)"},
+        "out": {**PATH, "help": "checkpoint output path"},
         "epochs": {**INT, "default": TrainConfig.epochs},
         "nk": {**INT, "default": SeparatorConfig.n_k, "help": "channel count"},
         "lr": {**FLOAT, "default": TrainConfig.learning_rate},
@@ -264,7 +275,7 @@ COMMANDS = {
         "data": PATH,
         "label": {"choices": evaluation.LABEL_MODES, "default": "discord"},
         "model": {"choices": ("separator", "baseline"), "default": "separator"},
-        "tau": {**FLOAT, "help": "also emit a confusion matrix"},
+        "tau": {"type": finite_float, "help": "also emit a confusion matrix"},
         "out_prefix": PATH,
         **SCORING,
     }),

@@ -137,6 +137,11 @@ class SeparatorParams:
             out += [self.fc_w, self.fc_b]
         return out
 
+    def shapes(self) -> dict:
+        """name -> shape of each array present."""
+        named = (("kernels", self.kernels), ("fc_w", self.fc_w), ("fc_b", self.fc_b))
+        return {name: a.shape for name, a in named if a is not None}
+
     def copy(self) -> "SeparatorParams":
         return SeparatorParams(
             kernels=self.kernels.copy(),
@@ -187,20 +192,26 @@ def init_params(
     return SeparatorParams(kernels=kernels, fc_w=fc_w, fc_b=fc_b)
 
 
-def _check_shapes(params: SeparatorParams, config: SeparatorConfig) -> None:
-    """Raise ValueError unless params carry exactly the arrays config implies."""
+def _param_shapes(config: SeparatorConfig) -> dict:
+    """The arrays config implies, name -> shape, in checkpoint payload order."""
     shapes = {"kernels": (config.n_paths, config.n_k, 2, 4, 4)}
     if config.use_fc:
         w = config.fc_width
         shapes["fc_w"] = (config.n_paths, config.fc_depth, w, w)
         shapes["fc_b"] = (config.n_paths, config.fc_depth, w)
+    return shapes
+
+
+def _check_shapes(shapes: dict, config: SeparatorConfig) -> None:
+    """Raise ValueError unless `shapes` (name -> shape of each array present)
+    are exactly those config implies."""
+    want = _param_shapes(config)
     for name in ("kernels", "fc_w", "fc_b"):
-        a, want = getattr(params, name), shapes.get(name)
-        if (a is None) != (want is None):
-            state = "missing" if a is None else "present"
+        if (name in shapes) != (name in want):
+            state = "present" if name in shapes else "missing"
             raise ValueError(f"{name} is {state} but use_fc is {config.use_fc}")
-        if a is not None and a.shape != want:
-            raise ValueError(f"{name} shape {a.shape} != {want}")
+        if name in shapes and shapes[name] != want[name]:
+            raise ValueError(f"{name} shape {shapes[name]} != {want[name]}")
 
 
 @functools.lru_cache(maxsize=8)
@@ -341,7 +352,7 @@ def forward_batch(
     stacked products (`_paths_view`). Without want_cache only the current
     layer's activation is kept.
     """
-    _check_shapes(params, config)
+    _check_shapes(params.shapes(), config)
     rhos = np.asarray(rhos)
     b, n_k, p = rhos.shape[0], config.n_k, config.n_paths
     x = np.concatenate([rhos.real.reshape(b, 64), rhos.imag.reshape(b, 64)], axis=1)
@@ -442,18 +453,13 @@ def baseline_losses(rhos: np.ndarray) -> np.ndarray:
 # --- persistence ------------------------------------------------------------
 
 
-CHECKPOINT_VERSION = 2
-
-
-def _encode_array(a: np.ndarray) -> dict:
-    """v2 array: its shape and the base64 of its little-endian float64 bytes."""
-    raw = np.ascontiguousarray(a, dtype="<f8").tobytes()
-    return {"shape": list(a.shape), "f8": base64.b64encode(raw).decode("ascii")}
+CHECKPOINT_VERSION = 3
 
 
 def _decode_array(obj, version: int) -> np.ndarray:
-    """A writable, C-contiguous native float64 array from a checkpoint entry:
-    a nested list in version 1, an `_encode_array` object in version 2.
+    """A writable, C-contiguous native float64 array from a version-1 or
+    version-2 checkpoint entry: a nested list in version 1, and in version 2
+    `{"shape": [...], "f8": <base64 of its little-endian float64 bytes>}`.
 
     Raises KeyError, TypeError or ValueError (bad base64 included) when the
     entry is malformed or its byte count disagrees with its shape.
@@ -465,6 +471,22 @@ def _decode_array(obj, version: int) -> np.ndarray:
     if len(raw) != 8 * math.prod(shape):
         raise ValueError(f"{len(raw)} bytes do not hold float64 shape {shape}")
     return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+
+
+def _read_arrays(fh, config: SeparatorConfig) -> dict:
+    """The version-3 payload: the arrays config implies, in payload order,
+    read straight into writable native float64 arrays. Raises ValueError
+    unless the payload fills them and ends with the last one."""
+    arrays = {}
+    for name, shape in _param_shapes(config).items():
+        a = np.empty(shape, dtype="<f8")
+        n = fh.readinto(a)
+        if n != a.nbytes:
+            raise ValueError(f"payload is {a.nbytes - n} bytes short in {name}")
+        arrays[name] = a.astype(np.float64, copy=False)
+    if fh.read(1):
+        raise ValueError("bytes after the last array")
+    return arrays
 
 
 @contextmanager
@@ -489,54 +511,64 @@ def save_checkpoint(
     config: SeparatorConfig,
     training_meta: dict | None = None,
 ) -> None:
-    """Write a version-2 checkpoint: one JSON object whose arrays are packed
-    float64 (see `_encode_array`), through `atomic_write`."""
-    payload = {
+    """Write a version-3 checkpoint through `atomic_write`: one line of JSON
+    (config, training_meta and each array's shape, in payload order), then
+    the arrays' little-endian float64 bytes, written from memory."""
+    arrays = [np.ascontiguousarray(a, dtype="<f8") for a in params.arrays()]
+    shapes = [{"shape": list(a.shape)} for a in arrays]
+    header = {
         "format_version": CHECKPOINT_VERSION,
         "config": config.to_dict(),
-        "kernels": _encode_array(params.kernels),
-        "fc": None
-        if params.fc_w is None
-        else {"weights": _encode_array(params.fc_w), "biases": _encode_array(params.fc_b)},
+        "kernels": shapes[0],
+        "fc": None if len(shapes) == 1 else {"weights": shapes[1], "biases": shapes[2]},
         "training_meta": training_meta or {},
     }
-    with atomic_write(path) as fh:
-        json.dump(payload, fh)
+    with atomic_write(path, "wb") as fh:
+        fh.write(json.dumps(header).encode("ascii") + b"\n")
+        for a in arrays:
+            fh.write(a)
 
 
 def load_checkpoint(path: str) -> tuple[SeparatorParams, SeparatorConfig, dict]:
-    """Read a version-1 or version-2 checkpoint.
+    """Read a version-1, -2 or -3 checkpoint.
 
-    Raises DataFormatError (exit 3) unless the file is valid JSON of a known
-    version whose arrays decode, match the config's shapes and are finite.
+    The first line tells them apart. A version-1 or -2 file is that one line,
+    a JSON object holding its arrays (see `_decode_array`); a version-3 file's
+    first line is its JSON header, and the arrays' bytes follow it. Raises
+    DataFormatError (exit 3) unless the first line is a JSON object of a known
+    version, the config is valid, the arrays decode, match the config's shapes
+    and fill the file exactly, and every weight is finite.
     """
     from .errors import DataFormatError
 
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"checkpoint {path} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise DataFormatError(f"checkpoint {path} is not a JSON object")
-    version = payload.get("format_version")
-    if version not in (1, CHECKPOINT_VERSION):
-        raise DataFormatError(f"checkpoint {path}: unsupported format_version {version!r}")
-    try:
-        config = SeparatorConfig(**payload["config"])
-        kernels = _decode_array(payload["kernels"], version)
-        fc = payload["fc"]
-        if fc is None:
-            params = SeparatorParams(kernels=kernels)
-        else:
-            params = SeparatorParams(
-                kernels=kernels,
-                fc_w=_decode_array(fc["weights"], version),
-                fc_b=_decode_array(fc["biases"], version),
-            )
-        _check_shapes(params, config)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"checkpoint {path} is malformed: {exc}") from exc
+    with open(path, "rb") as fh:
+        try:
+            payload = json.loads(fh.readline())
+        except ValueError as exc:
+            raise DataFormatError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise DataFormatError(f"checkpoint {path} is not a JSON object")
+        version = payload.get("format_version")
+        # true == 1 and 2.0 == 2 in Python, but neither is a version number
+        if type(version) is not int or version not in (1, 2, CHECKPOINT_VERSION):
+            raise DataFormatError(f"checkpoint {path}: unsupported format_version {version!r}")
+        try:
+            config = SeparatorConfig(**payload["config"])
+            fc = payload["fc"]
+            entries = {"kernels": payload["kernels"]}
+            if fc is not None:
+                entries.update(fc_w=fc["weights"], fc_b=fc["biases"])
+            if version == CHECKPOINT_VERSION:
+                _check_shapes({name: tuple(e["shape"]) for name, e in entries.items()}, config)
+                arrays = _read_arrays(fh, config)
+            else:
+                if fh.read().strip():
+                    raise ValueError("data after the JSON object")
+                arrays = {name: _decode_array(e, version) for name, e in entries.items()}
+                _check_shapes({name: a.shape for name, a in arrays.items()}, config)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataFormatError(f"checkpoint {path} is malformed: {exc}") from exc
+    params = SeparatorParams(**arrays)
     if not all(np.isfinite(a).all() for a in params.arrays()):
         raise DataFormatError(f"checkpoint {path}: non-finite weights")
     return params, config, payload.get("training_meta", {})

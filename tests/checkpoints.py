@@ -1,0 +1,99 @@
+"""Checkpoint files for the tests: the version-2 writer, which the package no
+longer has, to build tampered version-2 files, and the split of a version-3
+file into its header and payload, to build tampered version-3 files
+(`tampered_v3`).
+
+`tests/data/` holds small version-1 and version-2 checkpoints of the same
+weights, written by the writers of those versions; `OLD_CHECKPOINTS` names
+them with their configs, training metadata and the sha256 of their arrays'
+little-endian float64 bytes in payload order.
+"""
+import base64
+import json
+from pathlib import Path
+
+import numpy as np
+
+from qsep.separator import SeparatorConfig, init_params, save_checkpoint
+
+DATA = Path(__file__).parent / "data"
+
+OLD_CHECKPOINTS = {
+    "untied_nk2": (
+        SeparatorConfig(n_k=2, fc_depth=2, tie_weights=False, activation="tanh"),
+        {"epoch": 3, "val_loss": 0.012345678901234567, "seed": 7},
+        "3fc6dbf476c5b41218dcec1fb4844b009122973315fb092095b10f904baed518",
+    ),
+    "nofc_nk2": (
+        SeparatorConfig(n_k=2, use_fc=False),
+        {"epoch": 1, "seed": 8},
+        "aa221089a7d2898d9568a5b8d3a2e911493fd16141fd213f17e592182545ae47",
+    ),
+}
+
+
+def old_checkpoint(name: str, version: int) -> Path:
+    return DATA / f"v{version}_{name}.json"
+
+
+def encode_array(a: np.ndarray) -> dict:
+    """A version-2 array entry: its shape and the base64 of its little-endian
+    float64 bytes."""
+    raw = np.ascontiguousarray(a, dtype="<f8").tobytes()
+    return {"shape": list(a.shape), "f8": base64.b64encode(raw).decode("ascii")}
+
+
+def v2_payload(params, config, training_meta=None) -> dict:
+    """The JSON object of a version-2 checkpoint; `json.dumps` of it is the
+    file's text."""
+    return {
+        "format_version": 2,
+        "config": config.to_dict(),
+        "kernels": encode_array(params.kernels),
+        "fc": None
+        if params.fc_w is None
+        else {"weights": encode_array(params.fc_w), "biases": encode_array(params.fc_b)},
+        "training_meta": training_meta or {},
+    }
+
+
+def split_v3(raw: bytes) -> tuple[dict, bytes]:
+    """A version-3 file's header object and the payload bytes after it."""
+    line, payload = raw.split(b"\n", 1)
+    return json.loads(line), payload
+
+
+def join_v3(header: dict, payload: bytes) -> bytes:
+    return json.dumps(header).encode("ascii") + b"\n" + payload
+
+
+# version-3 files that must not load: header, payload and weight faults
+V3_TAMPERS = [
+    "header_not_json", "header_not_object", "unknown_version", "shape_vs_config",
+    "fc_vs_use_fc", "one_byte_short", "trailing_byte", "nan_weight",
+]
+
+
+def tampered_v3(tmp_path: Path, tamper: str) -> bytes:
+    """A small version-3 checkpoint with one `V3_TAMPERS` fault."""
+    config = SeparatorConfig(n_k=2, fc_depth=2)
+    path = str(tmp_path / f"ok_{tamper}.ckpt")
+    save_checkpoint(path, init_params(config, np.random.default_rng(36)), config)
+    header, payload = split_v3(Path(path).read_bytes())
+    if tamper == "header_not_json":
+        return b"{not json\n" + payload
+    if tamper == "header_not_object":
+        return b"[3]\n" + payload
+    if tamper == "unknown_version":
+        header["format_version"] = 4
+    elif tamper == "shape_vs_config":
+        header["kernels"]["shape"][1] = 3  # n_k 3 against the config's 2
+    elif tamper == "fc_vs_use_fc":
+        header["config"]["use_fc"] = False
+    elif tamper == "one_byte_short":
+        payload = payload[:-1]
+    elif tamper == "trailing_byte":
+        payload += b"\0"
+    else:
+        payload = payload[:-8] + np.array([np.nan], dtype="<f8").tobytes()
+    return join_v3(header, payload)

@@ -9,8 +9,10 @@ import pytest
 
 from qsep import states, training
 from qsep.cli import main
-from qsep.separator import SeparatorConfig, _encode_array, load_checkpoint
+from qsep.separator import SeparatorConfig, load_checkpoint, save_checkpoint
 from qsep.training import TrainConfig, build_dataset, load_qsd
+from checkpoints import (OLD_CHECKPOINTS, V3_TAMPERS, encode_array, old_checkpoint,
+                         tampered_v3, v2_payload)
 
 
 def run(*argv):
@@ -366,8 +368,9 @@ class TestEval:
     @pytest.mark.parametrize("tamper", ["fc_vs_use_fc", "fc_shape", "nan_kernel", "n_k_float",
                                         "fc_depth_float", "use_fc_string"])
     def test_invalid_checkpoint_exit_3(self, workdir, ckpt, mixed_qsd, tamper, capsys):
-        payload = json.loads(Path(ckpt).read_text())
-        params = load_checkpoint(ckpt)[0]
+        # version 2, of the trained weights
+        params, cfg, meta = load_checkpoint(ckpt)
+        payload = v2_payload(params, cfg, meta)
         config_types = {"n_k_float": ("n_k", 6.0), "fc_depth_float": ("fc_depth", 4.0),
                         "use_fc_string": ("use_fc", "no")}
         if tamper in config_types:
@@ -376,10 +379,10 @@ class TestEval:
         elif tamper == "fc_vs_use_fc":
             payload["config"]["use_fc"] = False
         elif tamper == "fc_shape":
-            payload["fc"]["weights"] = _encode_array(params.fc_w[..., :-1])
+            payload["fc"]["weights"] = encode_array(params.fc_w[..., :-1])
         else:
             params.kernels[0, 0, 0, 0, 0] = float("nan")
-            payload["kernels"] = _encode_array(params.kernels)
+            payload["kernels"] = encode_array(params.kernels)
         bad = str(workdir / f"bad_{tamper}.json")
         Path(bad).write_text(json.dumps(payload))
         prefix = str(workdir / f"evbad_{tamper}")
@@ -387,6 +390,26 @@ class TestEval:
         err = capsys.readouterr().err
         assert "checkpoint" in err and "Traceback" not in err
         assert not os.path.exists(prefix + ".means.csv")
+
+    @pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
+    def test_tau_not_finite_exit_2(self, workdir, mixed_qsd, tau, capsys):
+        prefix = str(workdir / "evtau")
+        assert run("eval", "--model", "baseline", "--data", mixed_qsd, "--out-prefix", prefix,
+                   f"--tau={tau}") == 2
+        err = capsys.readouterr().err
+        assert "argument --tau: must be finite" in err and "Traceback" not in err
+        assert not os.path.exists(prefix + ".manifest.json")
+
+    @pytest.mark.parametrize("exists", [True, False])
+    def test_baseline_with_ckpt_exit_2(self, workdir, ckpt, mixed_qsd, exists, capsys):
+        # the baseline reads no checkpoint, so naming one is a mistake
+        prefix = str(workdir / "evbase_ckpt")
+        path = ckpt if exists else str(workdir / "nonexist.json")
+        assert run("eval", "--model", "baseline", "--ckpt", path, "--data", mixed_qsd,
+                   "--out-prefix", prefix) == 2
+        err = capsys.readouterr().err
+        assert "--ckpt cannot be used with --model baseline" in err and "Traceback" not in err
+        assert not os.path.exists(prefix + ".manifest.json")
 
     @pytest.mark.parametrize("chunk", ["0", "-1"])
     def test_bad_chunk_exit_2(self, workdir, ckpt, mixed_qsd, chunk, capsys):
@@ -431,6 +454,46 @@ class TestKernelsCmd:
         assert lines[0] == "path,channel,part,k0,k1,k2,k3"
         # tied model: 1 path x 6 channels x 2 parts x 4 rows
         assert len(lines) == 1 + 1 * 6 * 2 * 4
+
+
+class TestCheckpointFiles:
+    """Every checkpoint-reading command on old and malformed checkpoints."""
+
+    @staticmethod
+    def argv(command, ckpt, out, mixed_qsd):
+        return {
+            "eval": ["--ckpt", ckpt, "--data", mixed_qsd, "--out-prefix", out],
+            "map": ["--ckpt", ckpt, "--grid", "11", "--out-prefix", out],
+            "kernels": ["--ckpt", ckpt, "--out", out],
+        }[command]
+
+    @pytest.mark.parametrize("name", sorted(OLD_CHECKPOINTS))
+    def test_old_versions_give_the_same_outputs(self, tmp_path, mixed_qsd, name):
+        # versions 1 and 2 of the same weights, and those weights resaved as version 3
+        resaved = str(tmp_path / "v3.ckpt")
+        save_checkpoint(resaved, *load_checkpoint(str(old_checkpoint(name, 2))))
+        paths = [str(old_checkpoint(name, 1)), str(old_checkpoint(name, 2)), resaved]
+        for command, suffixes in (("eval", [".sweep.csv", ".means.csv"]),
+                                  ("map", [".model.csv", ".model.pgm"]), ("kernels", [""])):
+            outputs = []
+            for i, path in enumerate(paths):
+                out = str(tmp_path / f"{command}{i}")
+                assert run(command, *self.argv(command, path, out, mixed_qsd)) == 0
+                # the header line names the checkpoint's digest, which differs per file
+                outputs.append([[ln for ln in Path(out + sfx).read_text().splitlines()
+                                 if "checkpoint=" not in ln] for sfx in suffixes])
+            assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("tamper", V3_TAMPERS)
+    @pytest.mark.parametrize("command", ["eval", "map", "kernels"])
+    def test_malformed_v3_exit_3(self, tmp_path, mixed_qsd, command, tamper, capsys):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(tampered_v3(tmp_path, tamper))
+        out = str(tmp_path / "out")
+        assert run(command, *self.argv(command, str(bad), out, mixed_qsd)) == 3
+        err = capsys.readouterr().err
+        assert "checkpoint" in err and "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == sorted(["bad.ckpt", f"ok_{tamper}.ckpt"])
 
 
 class TestVerifyCmd:

@@ -1,4 +1,5 @@
 import base64
+import hashlib
 import json
 import os
 import tracemalloc
@@ -24,9 +25,10 @@ from qsep.separator import (
     symmetrize_pair_swap,
 )
 from qsep import separator
-from qsep.separator import _encode_array
 from qsep.states import haar_random_pure, ket_to_dm, random_mixed_product
 from qsep.training import TrainConfig, _Adam
+from checkpoints import (OLD_CHECKPOINTS, V3_TAMPERS, encode_array, old_checkpoint,
+                         split_v3, tampered_v3, v2_payload)
 from test_gradient import CONFIGS, make_batch
 
 
@@ -516,6 +518,30 @@ class TestInit:
         assert params.fc_w is None and params.fc_b is None
 
 
+def failing_open(fail_at):
+    """`open` whose files store the first 100 bytes of write number `fail_at`,
+    then fail."""
+
+    class FailingFile:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == fail_at:
+                self.fh.write(memoryview(data).cast("B")[:100])
+                raise OSError("disk full")
+            return self.fh.write(data)
+
+    return lambda *args, **kwargs: FailingFile(open(*args, **kwargs))
+
+
 class TestCheckpoint:
     def test_roundtrip_losses(self, tmp_path):
         cfg = SeparatorConfig(n_k=4)
@@ -543,15 +569,21 @@ class TestCheckpoint:
         p.write_text('{"format_version": 9}')
         with pytest.raises(DataFormatError):
             load_checkpoint(str(p))
+        # a valid v1 or v2 file but for a version that only equals 1 or 2
+        for name, version in (("nofc_nk2", 1), ("untied_nk2", 2)):
+            payload = json.loads(old_checkpoint(name, version).read_text())
+            for fake in (True, float(version)):
+                payload["format_version"] = fake
+                p.write_text(json.dumps(payload))
+                with pytest.raises(DataFormatError, match="unsupported format_version"):
+                    load_checkpoint(str(p))
 
     def test_bad_shape(self, tmp_path):
         cfg = SeparatorConfig(n_k=4, use_fc=False)
         rng = np.random.default_rng(28)
         params = init_params(cfg, rng, noise=0.0)
-        path = str(tmp_path / "ok.json")
-        save_checkpoint(path, params, cfg)
-        payload = json.loads(Path(path).read_text())
-        payload["kernels"] = _encode_array(np.zeros((2, 2, 4, 4)))
+        payload = v2_payload(params, cfg)
+        payload["kernels"] = encode_array(np.zeros((2, 2, 4, 4)))
         p2 = tmp_path / "bad_shape.json"
         p2.write_text(json.dumps(payload))
         with pytest.raises(DataFormatError):
@@ -573,15 +605,15 @@ class TestCheckpoint:
             "fc_depth_float",
             "use_fc_string",
             "tie_weights_int",
+            "trailing_data",
         ],
     )
     def test_invalid_weights_rejected(self, tmp_path, tamper):
+        # version 2: one JSON object whose arrays are base64
         cfg = SeparatorConfig(n_k=2, fc_depth=2)
         params = init_params(cfg, np.random.default_rng(31), noise=0.05)
-        path = str(tmp_path / "ok.json")
-        save_checkpoint(path, params, cfg)
-        payload = json.loads(Path(path).read_text())
-        fc = payload["fc"]
+        payload = v2_payload(params, cfg)
+        fc, suffix = payload["fc"], ""
         config_types = {"n_k_float": ("n_k", 2.0), "fc_depth_float": ("fc_depth", 2.0),
                         "use_fc_string": ("use_fc", "no"), "tie_weights_int": ("tie_weights", 1)}
         if tamper in config_types:
@@ -592,17 +624,17 @@ class TestCheckpoint:
         elif tamper == "fc_added":
             payload["config"]["use_fc"] = False
         elif tamper == "fc_w_shape":
-            fc["weights"] = _encode_array(params.fc_w[:, :, :8, :8])
+            fc["weights"] = encode_array(params.fc_w[:, :, :8, :8])
         elif tamper == "fc_b_shape":
-            fc["biases"] = _encode_array(params.fc_b[:, :1])
+            fc["biases"] = encode_array(params.fc_b[:, :1])
         elif tamper == "nan_kernel":
             k = params.kernels.copy()
             k[0, 1, 0, 2, 3] = float("nan")
-            payload["kernels"] = _encode_array(k)
+            payload["kernels"] = encode_array(k)
         elif tamper == "inf_fc_weight":
             w = params.fc_w.copy()
             w[0, 1, 4, 5] = float("inf")
-            fc["weights"] = _encode_array(w)
+            fc["weights"] = encode_array(w)
         elif tamper == "bad_base64":
             # a lenient decoder would skip these and load the same bytes
             f8 = fc["biases"]["f8"]
@@ -610,35 +642,87 @@ class TestCheckpoint:
         elif tamper == "truncated":
             # still valid base64 (whole 4-character groups), 6 bytes short
             payload["kernels"]["f8"] = payload["kernels"]["f8"][:-8]
+        elif tamper == "trailing_data":
+            suffix = "\n[]"
         else:
             # the shape the config wants over the bytes of half the biases
-            fc["biases"]["f8"] = _encode_array(params.fc_b[:, :1])["f8"]
+            fc["biases"]["f8"] = encode_array(params.fc_b[:, :1])["f8"]
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(payload))
+        bad.write_text(json.dumps(payload) + suffix)
         with pytest.raises(DataFormatError, match="checkpoint"):
             load_checkpoint(str(bad))
 
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("name", sorted(OLD_CHECKPOINTS))
+    def test_old_checkpoint_loads_bit_for_bit(self, name, version):
+        cfg, meta, sha = OLD_CHECKPOINTS[name]
+        loaded, cfg2, meta2 = load_checkpoint(str(old_checkpoint(name, version)))
+        assert cfg2 == cfg and meta2 == meta
+        raw = b"".join(a.astype("<f8").tobytes() for a in loaded.arrays())
+        assert hashlib.sha256(raw).hexdigest() == sha
+        for a in loaded.arrays():
+            # Adam updates parameters in place
+            assert a.dtype == np.float64 and a.dtype.isnative
+            assert a.flags.writeable and a.flags.c_contiguous
+
     def test_v2_layout_is_packed_float64(self, tmp_path):
-        cfg = SeparatorConfig(n_k=2, fc_depth=2)
+        for name in OLD_CHECKPOINTS:
+            path = old_checkpoint(name, 2)
+            payload = json.loads(path.read_text())
+            assert payload["format_version"] == 2
+            loaded, cfg, meta = load_checkpoint(str(path))
+            # the test-side encoder is the version-2 writer: it rewrites the file
+            assert json.dumps(v2_payload(loaded, cfg, meta)) == path.read_text()
+            fc = payload["fc"]
+            stored = [payload["kernels"]] + ([] if fc is None else [fc["weights"], fc["biases"]])
+            assert len(stored) == len(loaded.arrays())
+            for entry, got in zip(stored, loaded.arrays()):
+                want = np.frombuffer(base64.b64decode(entry["f8"]), dtype="<f8")
+                assert entry["shape"] == list(got.shape)
+                assert np.array_equal(want.reshape(got.shape), got)
+            # resaved as version 3, the same bits
+            resaved = str(tmp_path / f"{name}.ckpt")
+            save_checkpoint(resaved, loaded, cfg, training_meta=meta)
+            for got, want in zip(load_checkpoint(resaved)[0].arrays(), loaded.arrays()):
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cfg", [
+        SeparatorConfig(),
+        SeparatorConfig(n_k=3, tie_weights=False),
+        SeparatorConfig(n_k=3, use_fc=False),
+        SeparatorConfig(n_k=3, fc_depth=2, activation="tanh"),
+    ], ids=["default", "untied", "no_fc", "tanh"])
+    def test_v3_layout_is_raw_float64(self, tmp_path, cfg):
         params = init_params(cfg, np.random.default_rng(32), noise=0.05)
-        p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+        p1, p2 = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
         save_checkpoint(p1, params, cfg, training_meta={"epoch": 1})
         save_checkpoint(p2, params, cfg, training_meta={"epoch": 1})
-        assert Path(p1).read_bytes() == Path(p2).read_bytes()
-        payload = json.loads(Path(p1).read_text())
-        assert payload["format_version"] == 2
-        stored = [payload["kernels"], payload["fc"]["weights"], payload["fc"]["biases"]]
-        for entry, want in zip(stored, params.arrays()):
-            got = np.frombuffer(base64.b64decode(entry["f8"]), dtype="<f8")
-            assert entry["shape"] == list(want.shape)
-            assert np.array_equal(got.reshape(want.shape), want)
+        raw = Path(p1).read_bytes()
+        assert raw == Path(p2).read_bytes()
+        header, payload = split_v3(raw)
+        assert header == {
+            "format_version": 3,
+            "config": cfg.to_dict(),
+            "kernels": {"shape": list(params.kernels.shape)},
+            "fc": None if not cfg.use_fc else {"weights": {"shape": list(params.fc_w.shape)},
+                                                "biases": {"shape": list(params.fc_b.shape)}},
+            "training_meta": {"epoch": 1},
+        }
+        assert payload == b"".join(a.astype("<f8").tobytes() for a in params.arrays())
         loaded, cfg2, meta = load_checkpoint(p1)
         assert cfg2 == cfg and meta == {"epoch": 1}
+        assert len(loaded.arrays()) == len(params.arrays())
         for got, want in zip(loaded.arrays(), params.arrays()):
-            assert np.array_equal(got, want)
-            # Adam updates parameters in place
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
             assert got.dtype == np.float64 and got.dtype.isnative
             assert got.flags.writeable and got.flags.c_contiguous
+
+    @pytest.mark.parametrize("tamper", V3_TAMPERS)
+    def test_malformed_v3_rejected(self, tmp_path, tamper):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(tampered_v3(tmp_path, tamper))
+        with pytest.raises(DataFormatError, match="checkpoint"):
+            load_checkpoint(str(bad))
 
     @pytest.mark.parametrize("use_fc", [True, False])
     def test_v1_nested_lists_still_load(self, tmp_path, use_fc):
@@ -667,30 +751,27 @@ class TestCheckpoint:
         path = str(tmp_path / "ck.json")
         save_checkpoint(path, init_params(cfg, rng), cfg, training_meta={"epoch": 1})
         before = Path(path).read_bytes()
-
-        def dump_then_fail(obj, fh):
-            fh.write(json.dumps(obj)[:100])
-            raise OSError("disk full")
-
-        monkeypatch.setattr(separator.json, "dump", dump_then_fail)
         fresh = str(tmp_path / "fresh.json")
-        for target in (path, fresh):
-            with pytest.raises(OSError, match="disk full"):
-                save_checkpoint(target, init_params(cfg, rng), cfg, training_meta={"epoch": 2})
-        monkeypatch.undo()
-        assert Path(path).read_bytes() == before
-        assert load_checkpoint(path)[2] == {"epoch": 1}
-        assert sorted(os.listdir(tmp_path)) == ["ck.json"]
+        # the header line, the first array's bytes, the last array's bytes
+        for fail_at in (1, 2, 4):
+            monkeypatch.setattr(separator, "open", failing_open(fail_at), raising=False)
+            for target in (path, fresh):
+                with pytest.raises(OSError, match="disk full"):
+                    save_checkpoint(target, init_params(cfg, rng), cfg, training_meta={"epoch": 2})
+            monkeypatch.undo()
+            assert Path(path).read_bytes() == before
+            assert load_checkpoint(path)[2] == {"epoch": 1}
+            assert sorted(os.listdir(tmp_path)) == ["ck.json"]
 
     def test_size_is_packed_not_decimal(self, tmp_path):
-        # base64 of 8 bytes per parameter plus a small JSON frame; decimal
-        # text at 17 significant digits takes about twice this bound
+        # 8 bytes per parameter plus a one-line JSON header; base64 would add
+        # a third and decimal text at 17 significant digits about double it
         cfg = SeparatorConfig(n_k=48)
         params = init_params(cfg, np.random.default_rng(35))
         n_params = sum(a.size for a in params.arrays())
         path = str(tmp_path / "big.json")
         save_checkpoint(path, params, cfg, training_meta={"epoch": 1})
-        assert os.path.getsize(path) <= 4 / 3 * 8 * n_params + 4096
+        assert os.path.getsize(path) <= 8 * n_params + 4096
 
     def test_kernel_csv_export(self, tmp_path):
         from qsep.separator import export_kernels_csv
