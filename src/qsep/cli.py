@@ -211,6 +211,14 @@ def positive_int(text: str) -> int:
     return n
 
 
+def grid_size(text: str) -> int:
+    """Map points per axis, at least evaluation.MIN_GRID."""
+    n = int(text)
+    if n < evaluation.MIN_GRID:
+        raise argparse.ArgumentTypeError(f"must be >= {evaluation.MIN_GRID}, got {n}")
+    return n
+
+
 def finite_float(text: str) -> float:
     x = float(text)
     if not math.isfinite(x):
@@ -282,7 +290,7 @@ COMMANDS = {
     "map": ("render the 2-D state-family map", cmd_map, {
         **SEED,
         "ckpt": PATH,
-        "grid": {**INT, "default": evaluation.DEFAULT_GRID},
+        "grid": {"type": grid_size, "default": evaluation.DEFAULT_GRID},
         "out_prefix": PATH,
         **SCORING,
     }),

@@ -31,12 +31,14 @@ GROUPS = ("separable", "non_discordant", "discordant", "entangled")
 LABEL_MODES = ("discord", "entanglement")
 DEFAULT_CHUNK = 512  # states per model/oracle pass
 DEFAULT_GRID = 101  # map points per axis
+MIN_GRID = 11
+QUANTILES = (5, 50, 95)  # per-group loss percentiles in the means CSV
 
 
-def threshold_grid(n: int = DEFAULT_THRESHOLDS) -> np.ndarray:
-    """n log-spaced thresholds over THRESHOLD_RANGE."""
+def threshold_grid() -> np.ndarray:
+    """DEFAULT_THRESHOLDS log-spaced thresholds over THRESHOLD_RANGE."""
     lo, hi = THRESHOLD_RANGE
-    return np.logspace(np.log10(lo), np.log10(hi), n)
+    return np.logspace(np.log10(lo), np.log10(hi), DEFAULT_THRESHOLDS)
 
 
 def _spans(n: int, chunk: int) -> list[tuple[int, int]]:
@@ -69,12 +71,16 @@ def eval_losses(
     chunk: int = DEFAULT_CHUNK,
     threads: int = 1,
 ) -> np.ndarray:
-    """Model reconstruction loss per state. Threading only distributes chunks; the
-    per-chunk math and the output order are identical for any thread count, so
-    it never changes a bit. The chunk size can: BLAS blocks the FC products by
-    the chunk's state count, which moves a loss in its last bits (a rounding
-    change, relative to the loss: at most 8e-15 at n_k=48 and the default
-    init between chunks 1 and 512)."""
+    """Model reconstruction loss per state, from forward-only passes.
+
+    Threading only distributes chunks; the per-chunk math and the output order
+    are identical for any thread count, so it never changes a bit. The chunk
+    size can: BLAS blocks the FC products by the chunk's state count, which
+    moves a loss in its last bits (a rounding change, relative to the loss: at
+    most 8e-15 at n_k=48 and the default init between chunks 1 and 512). So
+    does the forward-only pass itself, which folds the encoder into the first
+    FC layer (`separator.forward_batch`): its losses are within 1e-12 absolute
+    of the unfolded pass `gradient` runs."""
     tasks = [partial(_model_losses, mats[lo:hi], params, config)
              for lo, hi in _spans(len(mats), chunk)]
     parts = _run_tasks(tasks, threads)
@@ -192,15 +198,19 @@ def write_sweep_csv(path: str, result: SweepResult, seed, checkpoint: str) -> No
 def write_class_means_csv(
     path: str, losses: np.ndarray, labels: np.ndarray, seed, checkpoint: str
 ) -> None:
-    """Count and mean loss of each group in GROUPS; empty groups are omitted."""
+    """Count, mean loss and the QUANTILES percentiles of the loss (numpy's
+    default linear interpolation) of each group in GROUPS; empty groups are
+    omitted."""
     masks = group_masks(labels)
     with atomic_write(path) as fh:
         fh.write(f"# seed={seed} checkpoint={checkpoint}\n")
-        fh.write("class,count,mean_loss\n")
+        fh.write("class,count,mean_loss," + ",".join(f"p{q}" for q in QUANTILES) + "\n")
         for name in GROUPS:
             mask = masks[name]
             if mask.any():
-                fh.write(f"{name},{int(mask.sum())},{float(losses[mask].mean()):.17g}\n")
+                group = losses[mask]
+                stats = [group.mean(), *np.percentile(group, QUANTILES)]
+                fh.write(f"{name},{int(mask.sum())}," + ",".join(f"{x:.17g}" for x in stats) + "\n")
 
 
 def write_confusion_csv(path: str, conf: np.ndarray, seed, checkpoint: str) -> None:
@@ -253,10 +263,12 @@ def render_map(
     `threads` workers, so the oracle and the baseline run beside the model.
     The thread count never changes a bit. The baseline and the labels do not
     depend on the chunk either; the model losses can move in their last bits
-    with it, as in `eval_losses`.
+    with it and come from the folded forward-only pass, within 1e-12 of the
+    unfolded one, as in `eval_losses`. Raises ValueError when grid is below
+    MIN_GRID.
     """
-    if grid < 11:
-        raise ValueError("grid must be >= 11")
+    if grid < MIN_GRID:
+        raise ValueError(f"grid must be >= {MIN_GRID}")
     us = np.linspace(0.0, 2.0, grid)
     vs = np.linspace(0.0, 2.0, grid)
     distinct, cell = _distinct_rows(map_params(*np.meshgrid(us, vs)))

@@ -22,8 +22,15 @@ Matmul form: the kernels are scattered into one encoder matrix that maps
 matrix product and its kernel gradient one product folded back through the
 same fixed index map. Activations are feature-major; tied paths are folded
 into the batch, one (w, 3 B) matrix through the shared FC stack, and untied
-paths are three stacked products. The decoder forms its products with the
-batch axis last and sums the channels in channel order.
+paths are three stacked products. A forward-only pass keeps no encoder output
+for a gradient, so it folds the encoder into the first FC layer: M = W0 E is
+formed once per call from E's column blocks, and the first layer is one
+product M x^T with K = 128 instead of E x^T then W0 (E x^T). The two forms
+only round differently: losses, outputs and factors agree to a few 1e-15 of
+their size, within 1e-12 absolute on the initial and trained weights the
+tests use (a decoder trace near zero scales up any rounding change). The
+decoder forms its products with the batch axis last and sums the channels in
+channel order.
 
 All gradients are derived by hand; finite differences are the test oracle,
 not part of this module.
@@ -251,6 +258,38 @@ def _encoder_matrix(kernels: np.ndarray) -> np.ndarray:
     return e.reshape(-1, 128)
 
 
+# E's row for feature 8 c + 4 p + 2 i + j of path t is zero outside 16
+# columns, which depend on (t, p, i, j) but not on the channel c. Per path
+# those (p, i, j) blocks tile the 128 columns; row t lists, for each column,
+# its place in the block order (p, i, j, k, q).
+_BLOCK_PLACE = np.argsort(_encoder_index(1, 3).reshape(3, 128) % 128, axis=1)
+_BLOCK_PLACE.flags.writeable = False
+
+
+def _folded_encoder(params: SeparatorParams) -> np.ndarray:
+    """M = W0 E, (3 w, 128) in E's row order: the first FC layer's weights
+    applied to the encoder matrix, so that M x^T is that layer's product
+    W0 (E x^T) without forming E x^T.
+
+    Built from E's column blocks rather than as the dense product: block
+    (p, i, j) of path t is W0_t[:, rows 8 c + 4 p + 2 i + j] @ K_t[:, p],
+    (w, n_k) @ (n_k, 16), and its 16 columns go to their places in E's
+    column order (`_BLOCK_PLACE`). Tied paths share the eight products.
+    """
+    kernels = params.kernels
+    n_paths, n_k = kernels.shape[:2]
+    w = 8 * n_k
+    # (path, p, (i, j), row, channel) and (path, p, 1, channel, (k, q)); the
+    # copy gives BLAS unit-stride blocks
+    w0 = params.fc_w[:, 0].reshape(n_paths, w, n_k, 2, 4).transpose(0, 3, 4, 1, 2)
+    w0 = np.ascontiguousarray(w0)
+    k = kernels.reshape(n_paths, n_k, 2, 1, 16).transpose(0, 2, 3, 1, 4)
+    blocks = np.matmul(w0, k).transpose(0, 3, 1, 2, 4).reshape(n_paths, w, 128)
+    if n_paths == 1:
+        return blocks[0][:, _BLOCK_PLACE].reshape(-1, 128)  # row 3 feature + path
+    return np.take_along_axis(blocks, _BLOCK_PLACE[:, None], axis=2).reshape(-1, 128)
+
+
 def _encoder_grad(ge: np.ndarray, n_paths: int) -> np.ndarray:
     """Kernel gradient from the gradient of E: gather each kernel entry's
     four output entries (i, j) through `_encoder_index` and sum them and,
@@ -350,20 +389,27 @@ def forward_batch(
     Activations are feature-major, (paths, w, 3 B / paths): tied paths are
     one (w, 3 B) batch through the shared FC stack, untied paths three
     stacked products (`_paths_view`). Without want_cache only the current
-    layer's activation is kept.
+    layer's activation is kept, and with FC layers the encoder is folded into
+    the first one (`_folded_encoder`): one product with M = W0 E instead of
+    two. That changes rounding only: losses, rho_hat and factors agree with
+    the want_cache pass, which `gradient` runs unfolded, to 1e-12 absolute
+    (see the module docstring).
     """
     _check_shapes(params.shapes(), config)
     rhos = np.asarray(rhos)
     b, n_k, p = rhos.shape[0], config.n_k, config.n_paths
     x = np.concatenate([rhos.real.reshape(b, 64), rhos.imag.reshape(b, 64)], axis=1)
-    h = _encoder_matrix(params.kernels) @ x.T
+    # forward only, nothing needs h0 = E x^T: fold E into the first layer
+    folded = config.use_fc and not want_cache
+    h = (_folded_encoder(params) if folded else _encoder_matrix(params.kernels)) @ x.T
     hs = []
     if config.use_fc:
         h = h.reshape(p, config.fc_width, -1)
         for l in range(config.fc_depth):
             if want_cache:
                 hs.append(h)
-            h = np.matmul(params.fc_w[:, l], h)
+            if l > 0 or not folded:
+                h = np.matmul(params.fc_w[:, l], h)
             h += params.fc_b[:, l, :, None]
             if l < config.fc_depth - 1:
                 _activate(h, config.activation)

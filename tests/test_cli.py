@@ -270,7 +270,7 @@ class TestEval:
         assert sweep_lines[1] == "tau,tp,fp,tn,fn,pr,rc,ba"
         assert len(sweep_lines) == 2 + 400
         means_lines = Path(prefix + ".means.csv").read_text().strip().split("\n")
-        assert means_lines[1] == "class,count,mean_loss"
+        assert means_lines[1] == "class,count,mean_loss,p5,p50,p95"
         mf = json.loads(Path(prefix + ".manifest.json").read_text())
         assert 0.0 <= mf["best_balanced_accuracy"] <= 1.0
 
@@ -331,7 +331,7 @@ class TestEval:
         cfgp.write_text(json.dumps({"threads": value}))
         prefix = str(workdir / f"badcfg_{command}_{value}")
         argv = ["--ckpt", ckpt, "--out-prefix", prefix, "--config", str(cfgp)]
-        argv += ["--data", mixed_qsd] if command == "eval" else ["--grid", "5"]
+        argv += ["--data", mixed_qsd] if command == "eval" else ["--grid", "11"]
         assert run(command, *argv) == 2
         err = capsys.readouterr().err
         assert "argument --threads:" in err and "Traceback" not in err
@@ -435,6 +435,16 @@ class TestMapCmd:
         pgm = [ln for ln in Path(prefix + ".model.pgm").read_text().split("\n")
                if ln and not ln.startswith("#")]
         assert pgm[0] == "P2" and pgm[1] == "11 11"
+
+    @pytest.mark.parametrize("grid", ["5", "10", "-1"])
+    def test_bad_grid_exit_2_before_reading(self, workdir, grid, capsys):
+        # the parser rejects it: the checkpoint it names is never opened
+        prefix = str(workdir / "mapgrid")
+        assert run("map", "--ckpt", str(workdir / "nonexist.json"), "--grid", grid,
+                   "--out-prefix", prefix) == 2
+        err = capsys.readouterr().err
+        assert f"argument --grid: must be >= 11, got {grid}" in err and "Traceback" not in err
+        assert not os.path.exists(prefix + ".manifest.json")
 
     @pytest.mark.parametrize("chunk", ["0", "-1"])
     def test_bad_chunk_exit_2(self, workdir, ckpt, chunk, capsys):

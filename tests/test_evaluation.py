@@ -169,10 +169,16 @@ class TestConfusion:
 
 def class_means(tmp_path, losses, labels):
     """{class: (count, mean loss)} as `write_class_means_csv` writes them."""
+    return {name: row[:2] for name, row in class_rows(tmp_path, losses, labels).items()}
+
+
+def class_rows(tmp_path, losses, labels):
+    """{class: (count, mean loss, p5, p50, p95)} as `write_class_means_csv`
+    writes them."""
     p = tmp_path / "means.csv"
     write_class_means_csv(str(p), losses, labels, seed=0, checkpoint="x")
     rows = [ln.split(",") for ln in p.read_text().strip().split("\n")[2:]]
-    return {name: (int(count), float(mean)) for name, count, mean in rows}
+    return {name: (int(count), *map(float, stats)) for name, count, *stats in rows}
 
 
 class TestClassMeans:
@@ -188,6 +194,16 @@ class TestClassMeans:
         for name, (count, mean) in table.items():
             assert count == masks[name].sum()
             assert mean == losses[masks[name]].mean()
+
+    def test_quantiles(self, tmp_path, mixed_set):
+        rng = np.random.default_rng(9)
+        losses = rng.uniform(0.0, 0.1, size=len(mixed_set))
+        masks = group_masks(mixed_set.labels)
+        for name, (_, _, *quantiles) in class_rows(tmp_path, losses, mixed_set.labels).items():
+            # written with 17 digits: each reads back as the float it was
+            want = np.percentile(losses[masks[name]], [5, 50, 95])
+            assert quantiles == want.tolist()
+            assert quantiles == sorted(quantiles)
 
     def test_discordant_group_includes_entangled(self, mixed_set):
         masks = group_masks(mixed_set.labels)
@@ -282,7 +298,7 @@ class TestMap:
     def test_iou_bounds(self, small_map):
         v = map_iou(small_map, small_map.baseline, threshold=1e-6)
         assert 0.0 <= v <= 1.0
-        for tau in threshold_grid(20):
+        for tau in threshold_grid():
             assert 0.0 <= map_iou(small_map, small_map.baseline, tau) <= 1.0
 
     @pytest.mark.parametrize("chunk", [7, 21 * 21 + 1])
@@ -385,7 +401,7 @@ class TestCsvWriters:
         )
         lines = Path(p).read_text().strip().split("\n")
         assert lines[0] == "# seed=7 checkpoint=abc123"
-        assert lines[1] == "class,count,mean_loss"
+        assert lines[1] == "class,count,mean_loss,p5,p50,p95"
         assert [ln.split(",")[0] for ln in lines[2:]] == [
             "separable",
             "non_discordant",

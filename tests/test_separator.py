@@ -823,6 +823,58 @@ class TestParentReference:
                 assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
+FOLD_CONFIGS = [
+    {"tie_weights": tie, "activation": act, "fc_depth": depth}
+    for tie in (True, False) for act in ("relu", "tanh") for depth in (1, 4)
+]
+
+
+class TestFoldedForward:
+    """The forward-only pass folds the encoder into the first FC layer; the
+    want_cache pass, which `gradient` runs, keeps the two products."""
+
+    @pytest.mark.parametrize("trained", [False, True], ids=["init", "adam100"])
+    @pytest.mark.parametrize("kwargs", FOLD_CONFIGS, ids=[str(c) for c in FOLD_CONFIGS])
+    def test_matches_cached_pass(self, kwargs, trained):
+        cfg = SeparatorConfig(n_k=8, **kwargs)
+        params = TestParentReference.params_for(cfg, trained)
+        rng = np.random.default_rng(43)
+        for b in (1, 32, 600):
+            batch = make_batch(rng, n=b) if b > 1 else random_dm(rng)[None]
+            folded = forward_batch(batch, params, cfg)
+            cached = forward_batch(batch, params, cfg, want_cache=True)[:3]
+            for got, want in zip(folded, cached):
+                assert np.abs(got - want).max() <= 1e-12, (b, np.abs(got - want).max())
+
+    @pytest.mark.parametrize("n_k", [1, 3, 48])
+    @pytest.mark.parametrize("tie", [True, False])
+    def test_compact_matches_dense_product(self, n_k, tie):
+        cfg = SeparatorConfig(n_k=n_k, tie_weights=tie)
+        params = init_params(cfg, np.random.default_rng(44), noise=0.3)
+        e = separator._encoder_matrix(params.kernels)
+        w = cfg.fc_width
+        if tie:  # E's rows interleave feature and path: (w, 3 x 128)
+            dense = params.fc_w[0, 0] @ e.reshape(w, 3 * 128)
+        else:  # path-major rows: three stacked (w, 128) blocks
+            dense = params.fc_w[:, 0] @ e.reshape(3, w, 128)
+        dense = dense.reshape(-1, 128)
+        got = separator._folded_encoder(params)
+        assert got.shape == dense.shape
+        assert np.abs(got - dense).max() <= 1e-15 * np.abs(dense).max()
+
+    def test_forward_only_never_forms_encoder(self, monkeypatch):
+        cfg = SeparatorConfig(n_k=2)
+        params = init_params(cfg, np.random.default_rng(45))
+        batch = make_batch(np.random.default_rng(46), n=4)
+        want = forward_batch(batch, params, cfg, want_cache=True)[0]
+
+        def refuse(kernels):
+            raise AssertionError("forward-only pass formed E")
+
+        monkeypatch.setattr(separator, "_encoder_matrix", refuse)
+        assert np.abs(forward_batch(batch, params, cfg)[0] - want).max() <= 1e-12
+
+
 class TestDecoderExact:
     def test_sum_equals_per_channel_kron_all(self):
         # gate 7's form check at noise 0.3, over 20 parameter draws: the
