@@ -234,6 +234,15 @@ def fraction(text: str) -> float:
     return x
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def nonempty(text: str) -> str:
     if not text:
         raise argparse.ArgumentTypeError("must not be empty")
@@ -247,7 +256,7 @@ INT, FLOAT, SWITCH = {"type": int}, {"type": float}, {"action": "store_true"}
 PATH = {"type": nonempty, "required": True}
 SEED = {"seed": {**INT, "default": 0}}
 SCORING = {
-    "threads": {"type": positive_int, "default": os.cpu_count() or 1},
+    "threads": {"type": positive_int, "default": usable_cpus()},
     "chunk": {"type": positive_int, "default": evaluation.DEFAULT_CHUNK},
 }
 

@@ -115,17 +115,32 @@ def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def check_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> None:
-    """Raise if rho is not Hermitian, unit trace and PSD (within tol)."""
-    _n_qubits_of(rho)
-    if rho.ndim != 2:
-        raise ValueError(f"expected one matrix, got shape {rho.shape}")
-    dev = np.abs(rho - rho.conj().T).max()
-    if dev > HERMITICITY_TOL:
-        raise ValueError(f"not Hermitian: {dev:.3e}")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > tol:
-        raise ValueError(f"trace {tr} != 1")
-    w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if w.min() < -tol:
-        raise ValueError(f"negative eigenvalue {w.min():.3e}")
+def check_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> tuple[int, str] | None:
+    """The first matrix of rho, one (d, d) matrix or a stack (..., d, d), that
+    is not finite, not Hermitian within HERMITICITY_TOL or not of unit trace
+    within tol, as (its index in the flattened stack, what is wrong); None
+    when every matrix passes.
+
+    Positivity is not tested: it takes an eigendecomposition per matrix,
+    several times the cost of these checks.
+    """
+    d = 2 ** _n_qubits_of(rho)
+    m = rho.reshape(-1, d, d)
+    finite = np.isfinite(m).all(axis=(1, 2))
+    # |rho - rho^dag| is the same at (i, j) and (j, i), so the upper triangle
+    # holds its max; entry by entry, the temporaries stay small
+    dev = np.zeros(len(m))
+    with np.errstate(invalid="ignore"):  # inf - inf; such a matrix fails `finite`
+        for i in range(d):
+            for j in range(i, d):
+                np.maximum(dev, np.abs(m[:, i, j] - m[:, j, i].conj()), out=dev)
+        tr = np.einsum("bii->b", m)
+    bad = np.flatnonzero(~finite | (dev > HERMITICITY_TOL) | (np.abs(tr - 1.0) > tol))
+    if not len(bad):
+        return None
+    k = int(bad[0])
+    if not finite[k]:
+        return k, "is not finite"
+    if dev[k] > HERMITICITY_TOL:
+        return k, f"is not Hermitian: max |rho - rho^dag| {dev[k]:.3e} > {HERMITICITY_TOL:.1e}"
+    return k, f"has trace {tr[k]:.6g}, not 1 within {tol:.1e}"

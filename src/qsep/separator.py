@@ -17,20 +17,18 @@ decoder and the L1 loss are shared by the model and the partial-trace
 baseline, which is the same decoder fed the three single-qubit reductions as
 one channel.
 
-Matmul form: the kernels are scattered into one encoder matrix that maps
-[Re rho | Im rho] to the FC inputs of all three paths, so the encoder is one
-matrix product and its kernel gradient one product folded back through the
-same fixed index map. Activations are feature-major; tied paths are folded
-into the batch, one (w, 3 B) matrix through the shared FC stack, and untied
-paths are three stacked products. A forward-only pass keeps no encoder output
-for a gradient, so it folds the encoder into the first FC layer: M = W0 E is
-formed once per call from E's column blocks, and the first layer is one
-product M x^T with K = 128 instead of E x^T then W0 (E x^T). The two forms
-only round differently: losses, outputs and factors agree to a few 1e-15 of
-their size, within 1e-12 absolute on the initial and trained weights the
-tests use (a decoder trace near zero scales up any rounding change). The
-decoder forms its products with the batch axis last and sums the channels in
-channel order.
+Matmul form: one index table (`_BLOCK_COLUMNS`) names the 16 columns of
+x = [Re rho | Im rho] that each path, part and output entry contracts with the
+kernels, so the encoder and its kernel gradient are small products over those
+blocks of x. Activations are feature-major; tied paths are folded into the
+batch, one (w, 3 B) matrix through the shared FC stack, and untied paths are
+three stacked products. A forward-only pass needs no encoder output for a
+gradient, so it folds the encoder into the first FC layer: one product M x^T,
+M (3 w, 128) built through the same table. The two forms only round
+differently: losses, outputs and factors agree to a few 1e-15 of their size,
+within 1e-12 absolute on the initial and trained weights the tests use (a
+decoder trace near zero scales up any rounding change). The decoder forms its
+products with the batch axis last and sums the channels in channel order.
 
 All gradients are derived by hand; finite differences are the test oracle,
 not part of this module.
@@ -38,7 +36,6 @@ not part of this module.
 from __future__ import annotations
 
 import base64
-import functools
 import hashlib
 import json
 import math
@@ -221,86 +218,22 @@ def _check_shapes(shapes: dict, config: SeparatorConfig) -> None:
             raise ValueError(f"{name} shape {shapes[name]} != {want[name]}")
 
 
-@functools.lru_cache(maxsize=8)
-def _encoder_index(n_k: int, n_paths: int) -> np.ndarray:
-    """The fixed scatter of kernel entries into the encoder matrix.
-
-    The encoder matrix E (3 w, 128), w = 8 n_k, maps x = [Re rho | Im rho]
-    (each row-major flattened) to the FC inputs of all three paths: column b
-    of E x^T holds, for state b, every path's w features, stacked in the FC
-    stack's row order (see `_paths_view`). Feature 8 c + 4 p + 2 i + j of path
-    t is entry (i, j) of channel c's part p (0 re, 1 im); kernel entry (k, q)
-    of that channel and part multiplies column 64 p + 8 g[4i+k] + g[4j+q] of
-    its row, where g is the path's row-index map. Every (t, c, p, i, j, k, q)
-    hits its own entry of E; the other 7/8 stay zero.
-
-    Returns the flat index into E of each kernel entry, ordered
-    (t, c, p, i, j, k, q), which is (paths, n_k, 2, 4, 4) kernels with the
-    output entry (i, j) inserted after the part axis.
-    """
-    t, c, p, i, j, k, q = np.indices((3, n_k, 2, 2, 2, 4, 4)).reshape(7, -1)
-    g = _INDEX_MAPS.reshape(3, 8)
-    feature = 8 * c + 4 * p + 2 * i + j
-    row = feature * 3 + t if n_paths == 1 else t * 8 * n_k + feature
-    dst = row * 128 + 64 * p + 8 * g[t, 4 * i + k] + g[t, 4 * j + q]
-    dst.flags.writeable = False
-    return dst
-
-
-def _encoder_matrix(kernels: np.ndarray) -> np.ndarray:
-    """E, (3 w, 128): the kernels scattered through `_encoder_index`, tied
-    kernels to the three paths' row sets."""
-    n_paths, n_k = kernels.shape[:2]
-    e = np.zeros(3 * 8 * n_k * 128)
-    e[_encoder_index(n_k, n_paths)] = np.broadcast_to(
-        kernels[:, :, :, None], (3, n_k, 2, 4, 4, 4)
-    ).reshape(-1)
-    return e.reshape(-1, 128)
-
-
-# E's row for feature 8 c + 4 p + 2 i + j of path t is zero outside 16
-# columns, which depend on (t, p, i, j) but not on the channel c. Per path
-# those (p, i, j) blocks tile the 128 columns; row t lists, for each column,
-# its place in the block order (p, i, j, k, q).
-_BLOCK_PLACE = np.argsort(_encoder_index(1, 3).reshape(3, 128) % 128, axis=1)
-_BLOCK_PLACE.flags.writeable = False
-
-
-def _folded_encoder(params: SeparatorParams) -> np.ndarray:
-    """M = W0 E, (3 w, 128) in E's row order: the first FC layer's weights
-    applied to the encoder matrix, so that M x^T is that layer's product
-    W0 (E x^T) without forming E x^T.
-
-    Built from E's column blocks rather than as the dense product: block
-    (p, i, j) of path t is W0_t[:, rows 8 c + 4 p + 2 i + j] @ K_t[:, p],
-    (w, n_k) @ (n_k, 16), and its 16 columns go to their places in E's
-    column order (`_BLOCK_PLACE`). Tied paths share the eight products.
-    """
-    kernels = params.kernels
-    n_paths, n_k = kernels.shape[:2]
-    w = 8 * n_k
-    # (path, p, (i, j), row, channel) and (path, p, 1, channel, (k, q)); the
-    # copy gives BLAS unit-stride blocks
-    w0 = params.fc_w[:, 0].reshape(n_paths, w, n_k, 2, 4).transpose(0, 3, 4, 1, 2)
-    w0 = np.ascontiguousarray(w0)
-    k = kernels.reshape(n_paths, n_k, 2, 1, 16).transpose(0, 2, 3, 1, 4)
-    blocks = np.matmul(w0, k).transpose(0, 3, 1, 2, 4).reshape(n_paths, w, 128)
-    if n_paths == 1:
-        return blocks[0][:, _BLOCK_PLACE].reshape(-1, 128)  # row 3 feature + path
-    return np.take_along_axis(blocks, _BLOCK_PLACE[:, None], axis=2).reshape(-1, 128)
-
-
-def _encoder_grad(ge: np.ndarray, n_paths: int) -> np.ndarray:
-    """Kernel gradient from the gradient of E: gather each kernel entry's
-    four output entries (i, j) through `_encoder_index` and sum them and,
-    for tied kernels, the three paths."""
-    n_k = ge.shape[0] // 24
-    g = ge.reshape(-1)[_encoder_index(n_k, n_paths)].reshape(3, n_k, 2, 4, 4, 4).sum(axis=3)
-    return g if n_paths == 3 else g.sum(axis=0, keepdims=True)
+# The encoder's one index table. Entry (i, j) of channel c's part p (0 re,
+# 1 im) on path t sums K_t[c, p, k, q] x[col] over the kernel entries (k, q),
+# x = [Re rho | Im rho] (each row-major flattened), col = 64 p + 8 g[4i+k] +
+# g[4j+q] with g the path's row-index map; the table holds col at
+# [t, p, 2 i + j, 4 k + q]. Per path it is a permutation of 0..127, ascending
+# in (k, q) within each block, so a block's 16 terms add in x's column order.
+_BLOCK_COLUMNS = np.array([
+    [[[64 * p + 8 * g[4 * i + k] + g[4 * j + q] for k in range(4) for q in range(4)]
+      for i in range(2) for j in range(2)] for p in range(2)]
+    for g in _INDEX_MAPS.reshape(3, 8)
+])
+_BLOCK_COLUMNS.flags.writeable = False
 
 
 def _paths_view(a: np.ndarray, n_k: int, n_paths: int) -> np.ndarray:
-    """(path, channel, part, entry, state) view of a (3 w, B) feature array.
+    """(path, part, entry, channel, state) view of a (3 w, B) feature array.
 
     Untied paths keep their rows apart, path-major, so the FC stack is three
     stacked (w, B) products. Tied paths interleave path with feature, making
@@ -309,8 +242,46 @@ def _paths_view(a: np.ndarray, n_k: int, n_paths: int) -> np.ndarray:
     """
     b = a.size // (24 * n_k)
     if n_paths == 3:
-        return a.reshape(3, n_k, 2, 4, b)
-    return a.reshape(n_k, 2, 4, 3, b).transpose(3, 0, 1, 2, 4)
+        return a.reshape(3, n_k, 2, 4, b).transpose(0, 2, 3, 1, 4)
+    return a.reshape(n_k, 2, 4, 3, b).transpose(3, 1, 2, 0, 4)
+
+
+def _encode(x: np.ndarray, kernels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """h0, the encoder output (3 w, B) in the FC stack's row order, and x's
+    blocks, xb[t, p, e] = x[:, _BLOCK_COLUMNS[t, p, e]] (B, 16). The rows of
+    h0 for path t, part p and entry e are K_t[:, p] (n_k, 16) @ xb[t, p, e]^T,
+    one product each."""
+    n_paths, n_k = kernels.shape[:2]
+    # each (B, 16) block keeps unit stride along (k, q): with a transposed
+    # block, BLAS rounds the kernel gradient's products differently
+    xb = np.take(x, _BLOCK_COLUMNS, axis=1).transpose(1, 2, 3, 0, 4)
+    h = np.empty((24 * n_k, x.shape[0]))
+    k = kernels.reshape(n_paths, n_k, 2, 1, 16).transpose(0, 2, 3, 1, 4)
+    np.matmul(k, xb.swapaxes(3, 4), out=_paths_view(h, n_k, n_paths))
+    return h, xb
+
+
+def _folded_encoder(params: SeparatorParams) -> np.ndarray:
+    """M (3 w, 128), rows in the FC stack's order and columns in x's, so that
+    M x^T is the first FC layer's product W0 h0 without forming h0. Block
+    (p, i, j) of path t is W0_t[:, rows 8 c + 4 p + 2 i + j] @ K_t[:, p],
+    (w, n_k) @ (n_k, 16), placed in x's columns `_BLOCK_COLUMNS[t, p, 2 i + j]`;
+    tied paths share the eight products."""
+    kernels = params.kernels
+    n_paths, n_k = kernels.shape[:2]
+    w = 8 * n_k
+    # (path, p, (i, j), row, channel) and (path, p, 1, channel, (k, q)); the
+    # copy gives BLAS unit-stride blocks
+    w0 = params.fc_w[:, 0].reshape(n_paths, w, n_k, 2, 4).transpose(0, 3, 4, 1, 2)
+    w0 = np.ascontiguousarray(w0)
+    k = kernels.reshape(n_paths, n_k, 2, 1, 16).transpose(0, 2, 3, 1, 4)
+    blocks = np.matmul(w0, k).transpose(0, 3, 1, 2, 4)  # (path, row, p, (i, j), (k, q))
+    m = np.empty((3 * w, 128))
+    # path t's rows: 3 row + t for tied paths, t w + row for untied ones
+    rows = m.reshape(w, 3, 128).transpose(1, 0, 2) if n_paths == 1 else m.reshape(3, w, 128)
+    for t in range(3):
+        rows[t][:, _BLOCK_COLUMNS[t]] = blocks[t % n_paths]
+    return m
 
 
 def _activate(z: np.ndarray, kind: str) -> None:
@@ -385,23 +356,24 @@ def forward_batch(
     tensors needed by `gradient`. Raises ValueError when the params do not
     have the shapes the config implies.
 
-    The encoder is one product with the encoder matrix (`_encoder_index`).
-    Activations are feature-major, (paths, w, 3 B / paths): tied paths are
-    one (w, 3 B) batch through the shared FC stack, untied paths three
-    stacked products (`_paths_view`). Without want_cache only the current
-    layer's activation is kept, and with FC layers the encoder is folded into
-    the first one (`_folded_encoder`): one product with M = W0 E instead of
-    two. That changes rounding only: losses, rho_hat and factors agree with
-    the want_cache pass, which `gradient` runs unfolded, to 1e-12 absolute
-    (see the module docstring).
+    The encoder is `_encode`, or, without want_cache and with FC layers, its
+    fold into the first layer (`_folded_encoder`), which changes rounding
+    only: losses, rho_hat and factors agree with the want_cache pass that
+    `gradient` runs to 1e-12 absolute. Activations are feature-major, (paths,
+    w, 3 B / paths): tied paths are one (w, 3 B) batch through the shared FC
+    stack, untied paths three stacked products (`_paths_view`). Without
+    want_cache only the current layer's activation is kept.
     """
     _check_shapes(params.shapes(), config)
     rhos = np.asarray(rhos)
     b, n_k, p = rhos.shape[0], config.n_k, config.n_paths
     x = np.concatenate([rhos.real.reshape(b, 64), rhos.imag.reshape(b, 64)], axis=1)
-    # forward only, nothing needs h0 = E x^T: fold E into the first layer
+    # forward only, nothing needs h0: fold the encoder into the first layer
     folded = config.use_fc and not want_cache
-    h = (_folded_encoder(params) if folded else _encoder_matrix(params.kernels)) @ x.T
+    if folded:
+        h = _folded_encoder(params) @ x.T
+    else:
+        h, xb = _encode(x, params.kernels)
     hs = []
     if config.use_fc:
         h = h.reshape(p, config.fc_width, -1)
@@ -415,7 +387,7 @@ def forward_batch(
                 _activate(h, config.activation)
     out = _paths_view(h, n_k, p)
     ft = np.empty((n_k, 3, 4, b), dtype=complex)
-    ft.real, ft.imag = out[:, :, 0].transpose(1, 0, 2, 3), out[:, :, 1].transpose(1, 0, 2, 3)
+    ft.real, ft.imag = out[:, 0].transpose(2, 0, 1, 3), out[:, 1].transpose(2, 0, 1, 3)
     del h, out  # without a cache, free the last activation before decoding
     factors = ft.reshape(n_k, 3, 2, 2, b).transpose(4, 0, 1, 2, 3)
     rho_hat, s, norm, guard, ft, ab = _decode(factors)
@@ -424,7 +396,7 @@ def forward_batch(
         return losses, rho_hat, factors
     cache = {
         "rhos": rhos,
-        "x": x,
+        "xb": xb,
         "hs": hs,
         "ft": ft,
         "ab": ab,
@@ -445,7 +417,7 @@ def gradient(
     Returns (grads shaped like params, mean loss).
     """
     losses, _, _, cache = forward_batch(batch, params, config, want_cache=True)
-    b, n_k, p = cache["x"].shape[0], config.n_k, config.n_paths
+    b, n_k, p = len(batch), config.n_k, config.n_paths
     s, norm, guard = cache["s"], cache["norm"], cache["guard"]
     diff = cache["rho_hat"] - cache["rhos"]
     absd = np.abs(diff)
@@ -466,8 +438,8 @@ def gradient(
     np.einsum("cqwb,qwmnb->cmnb", cache["ab"].conj(), v, out=gfac[2])
     gh = np.empty((3 * config.fc_width, b))
     gv = _paths_view(gh, n_k, p)
-    gfac = gfac.reshape(3, n_k, 4, b)
-    gv[:, :, 0], gv[:, :, 1] = gfac.real, gfac.imag
+    gfac = gfac.reshape(3, n_k, 4, b).transpose(0, 2, 1, 3)
+    gv[:, 0], gv[:, 1] = gfac.real, gfac.imag
     fc_w = fc_b = None
     if config.use_fc:
         fc_w, fc_b = np.empty_like(params.fc_w), np.empty_like(params.fc_b)
@@ -479,7 +451,11 @@ def gradient(
             np.matmul(gh, hs[l].transpose(0, 2, 1), out=fc_w[:, l])
             gh.sum(axis=2, out=fc_b[:, l])
             gh = np.matmul(params.fc_w[:, l].transpose(0, 2, 1), gh)
-    kernels = _encoder_grad(gh.reshape(-1, b) @ cache["x"], p)
+    # kernel gradient: per (path, part, entry) (n_k, B) @ (B, 16), summed
+    # over the four entries, then over the tied paths
+    ge = np.matmul(_paths_view(gh, n_k, p), cache["xb"]).sum(axis=2)
+    ge = ge.reshape(p, 3 // p, 2, n_k, 16).sum(axis=1)
+    kernels = ge.transpose(0, 2, 1, 3).reshape(p, n_k, 2, 4, 4)
     return SeparatorParams(kernels=kernels, fc_w=fc_w, fc_b=fc_b), float(losses.mean())
 
 

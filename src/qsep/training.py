@@ -18,6 +18,7 @@ import numpy as np
 
 from . import states
 from .errors import DataFormatError, RejectionLimitError, TrainingDivergedError
+from .linalg import check_density_matrix
 # perfbench/layers.py wraps classify and negativity as attributes of this
 # module; negativity is imported for that alone
 from .oracles import (  # noqa: F401
@@ -175,6 +176,10 @@ def save_qsd(path: str, ds: Dataset) -> None:
 
 
 def load_qsd(path: str) -> Dataset:
+    """Read a QSD1 file. Raises DataFormatError (exit 3), naming the byte
+    offset, on a bad header or body length, on a label that does not
+    round-trip through the codec, and on a record whose matrix is not finite,
+    Hermitian and of unit trace (`linalg.check_density_matrix`)."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size:
@@ -209,7 +214,13 @@ def load_qsd(path: str) -> Dataset:
         raise DataFormatError(
             f"{path}: record {i} label {labels[i]:#06x} {what} (byte offset {off})"
         )
-    return Dataset(mats=flat.reshape(count, 8, 8).copy(), labels=labels, meta={"path": path})
+    mats = flat.reshape(count, 8, 8)
+    fault = check_density_matrix(mats)
+    if fault is not None:
+        i, what = fault
+        off = _HEADER.size + i * _RECORD_DTYPE.itemsize
+        raise DataFormatError(f"{path}: record {i} matrix {what} (byte offset {off})")
+    return Dataset(mats=mats.copy(), labels=labels, meta={"path": path})
 
 
 def save_qsd_csv(path: str, ds: Dataset) -> None:

@@ -2,13 +2,15 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qsep import states, training
-from qsep.cli import main
+from qsep import cli, states, training
+from qsep.cli import main, usable_cpus
 from qsep.separator import SeparatorConfig, load_checkpoint, save_checkpoint
 from qsep.training import TrainConfig, build_dataset, load_qsd
 from checkpoints import (OLD_CHECKPOINTS, V3_TAMPERS, encode_array, old_checkpoint,
@@ -344,7 +346,18 @@ class TestEval:
         assert run("eval", "--ckpt", ckpt, "--data", mixed_qsd, "--out-prefix", prefix,
                    "--config", str(cfgp)) == 0
         mf = json.loads(Path(prefix + ".manifest.json").read_text())
-        assert mf["threads"] == (os.cpu_count() or 1)
+        assert mf["threads"] == usable_cpus()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    def test_default_threads_count_usable_cpus(self):
+        # a process allowed one CPU defaults to one worker, whatever the machine has
+        code = ("import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+                "from qsep import cli; print(cli.SCORING['threads']['default'])")
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "1"
 
     def test_bad_threads_flag_names_flag(self, workdir, ckpt, mixed_qsd, capsys):
         prefix = str(workdir / "badflag")
@@ -555,6 +568,23 @@ class TestVerifyCmd:
         save_qsd(path, bad)
         assert run("verify", "--data", path, "--fraction", "1.0") == 3
         assert "stored as separable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", ["nan", "off_diagonal"])
+    def test_unphysical_record_exit_3(self, workdir, product_qsd, fault, capsys):
+        # a NaN record used to reach the oracle's eigensolver (exit 2)
+        from qsep.training import Dataset, save_qsd
+
+        ds = load_qsd(product_qsd)
+        mats = ds.mats[:5].copy()
+        if fault == "nan":
+            mats[3, 2, 2] = np.nan
+        else:
+            mats[3, 0, 1] += 0.3
+        path = str(workdir / f"{fault}.qsd")
+        save_qsd(path, Dataset(mats=mats, labels=ds.labels[:5]))
+        assert run("verify", "--data", path, "--fraction", "1.0") == 3
+        err = capsys.readouterr().err
+        assert "record 3 matrix" in err and f"byte offset {13 + 3 * 1026}" in err
 
 
 class TestConfigPrecedence:

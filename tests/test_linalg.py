@@ -203,8 +203,19 @@ class TestPermuteQubits:
 class TestCheckDensityMatrix:
     def test_valid(self):
         rng = np.random.default_rng(13)
-        check_density_matrix(random_dm(rng))
+        assert check_density_matrix(random_dm(rng)) is None
+        assert check_density_matrix(np.stack([random_dm(rng) for _ in range(5)])) is None
 
     def test_trace_violation(self):
-        with pytest.raises(ValueError):
-            check_density_matrix(np.eye(8, dtype=complex))
+        i, what = check_density_matrix(np.eye(8, dtype=complex))
+        assert i == 0 and what.startswith("has trace 8")
+
+    def test_first_bad_matrix_of_a_stack(self):
+        rng = np.random.default_rng(14)
+        stack = np.stack([random_dm(rng) for _ in range(6)])
+        stack[4, 0, 0] = np.inf
+        stack[2, 1, 3] += 1e-6  # Hermiticity off by more than HERMITICITY_TOL
+        i, what = check_density_matrix(stack)
+        assert i == 2 and what.startswith("is not Hermitian")
+        stack[2] = random_dm(rng)
+        assert check_density_matrix(stack) == (4, "is not finite")

@@ -75,6 +75,20 @@ def reference_baseline(rho):
 REF_GATHER = [m.reshape(8) for m in separator._INDEX_MAPS]
 
 
+def ref_encoder_matrix(kernels):
+    """The encoder as one dense (w, 128) matrix per path, (3, w, 128): row
+    8 c + 4 p + 2 i + j of path t is the reference's conv entry (i, j) of
+    channel c's part p, a kernel entry per column of [Re rho | Im rho]."""
+    n_paths, n_k = kernels.shape[:2]
+    e = np.zeros((3, 8 * n_k, 128))
+    for t in range(3):
+        g = REF_GATHER[t]
+        for c, p, i, j, k, q in np.ndindex(n_k, 2, 2, 2, 4, 4):
+            col = 64 * p + 8 * g[4 * i + k] + g[4 * j + q]
+            e[t, 8 * c + 4 * p + 2 * i + j, col] = kernels[t % n_paths, c, p, k, q]
+    return e
+
+
 def ref_fc_io(conv_re, conv_im):
     # (B, n_k, 2, 2) x2 -> (B, 8 n_k), per channel [re(4), im(4)]
     b, n_k = conv_re.shape[:2]
@@ -851,13 +865,10 @@ class TestFoldedForward:
     def test_compact_matches_dense_product(self, n_k, tie):
         cfg = SeparatorConfig(n_k=n_k, tie_weights=tie)
         params = init_params(cfg, np.random.default_rng(44), noise=0.3)
-        e = separator._encoder_matrix(params.kernels)
-        w = cfg.fc_width
-        if tie:  # E's rows interleave feature and path: (w, 3 x 128)
-            dense = params.fc_w[0, 0] @ e.reshape(w, 3 * 128)
-        else:  # path-major rows: three stacked (w, 128) blocks
-            dense = params.fc_w[:, 0] @ e.reshape(3, w, 128)
-        dense = dense.reshape(-1, 128)
+        e = ref_encoder_matrix(params.kernels)
+        dense = [params.fc_w[t % cfg.n_paths, 0] @ e[t] for t in range(3)]
+        # M's rows interleave feature and path when tied, are path-major when not
+        dense = np.stack(dense, axis=1 if tie else 0).reshape(-1, 128)
         got = separator._folded_encoder(params)
         assert got.shape == dense.shape
         assert np.abs(got - dense).max() <= 1e-15 * np.abs(dense).max()
@@ -868,11 +879,19 @@ class TestFoldedForward:
         batch = make_batch(np.random.default_rng(46), n=4)
         want = forward_batch(batch, params, cfg, want_cache=True)[0]
 
-        def refuse(kernels):
-            raise AssertionError("forward-only pass formed E")
+        def refuse(x, kernels):
+            raise AssertionError("forward-only pass formed the encoder output")
 
-        monkeypatch.setattr(separator, "_encoder_matrix", refuse)
+        monkeypatch.setattr(separator, "_encode", refuse)
         assert np.abs(forward_batch(batch, params, cfg)[0] - want).max() <= 1e-12
+
+
+class TestBlockColumns:
+    def test_each_path_is_a_permutation(self):
+        cols = separator._BLOCK_COLUMNS
+        assert cols.shape == (3, 2, 4, 16)
+        for t in range(3):
+            assert np.array_equal(np.sort(cols[t].reshape(-1)), np.arange(128))
 
 
 class TestDecoderExact:

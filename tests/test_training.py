@@ -136,6 +136,24 @@ class TestQsdFormat:
         with pytest.raises(DataFormatError, match=rf"record {i}.*byte offset {off}"):
             load_qsd(p)
 
+    @pytest.mark.parametrize("fault, what", [
+        ("nan", "is not finite"), ("non_hermitian", "is not Hermitian"), ("trace", "has trace 1.5"),
+    ])
+    def test_unphysical_record_named_offset(self, tmp_path, small_val, fault, what):
+        mats = small_val.mats.copy()
+        i = 4
+        if fault == "nan":
+            mats[i, 2, 5] = np.nan
+        elif fault == "non_hermitian":
+            mats[i, 0, 1] += 0.3
+        else:
+            mats[i] *= 1.5
+        p = str(tmp_path / "a.qsd")
+        save_qsd(p, Dataset(mats=mats, labels=small_val.labels))
+        off = 13 + i * 1026
+        with pytest.raises(DataFormatError, match=rf"record {i} matrix {what}.*byte offset {off}"):
+            load_qsd(p)
+
     @pytest.mark.parametrize("save", [save_qsd, save_qsd_csv])
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, small_val, save):
         path = str(tmp_path / "a.qsd")
