@@ -8,7 +8,6 @@ correlation (discord, and a fortiori entanglement).
 from .errors import DataFormatError, RejectionLimitError, TrainingDivergedError
 from .oracles import (
     StateClass,
-    StateLabel,
     StateLabels,
     classify,
     label_states,
@@ -33,7 +32,6 @@ __all__ = [
     "RejectionLimitError",
     "TrainingDivergedError",
     "StateClass",
-    "StateLabel",
     "StateLabels",
     "classify",
     "label_states",

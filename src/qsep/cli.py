@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -116,7 +117,7 @@ def cmd_train(r: dict) -> int:
     manifest = dict(
         r,
         command="train",
-        separator=sep_cfg.to_dict(),
+        separator=asdict(sep_cfg),
         best_epoch=report.best_epoch,
         best_val_loss=report.best_val_loss,
         checkpoint_sha=sha,

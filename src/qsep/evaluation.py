@@ -232,7 +232,6 @@ class MapRender:
     losses: np.ndarray  # (G, G) model loss, row = v index, col = u index
     baseline: np.ndarray  # (G, G)
     klasses: np.ndarray  # (G, G) int8 class codes, indices into STATE_CLASSES
-    klass_names: np.ndarray  # (G, G) object array of class value strings
 
 
 def _distinct_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -289,29 +288,29 @@ def render_map(
     base = np.concatenate(results[1::3])
     codes = np.concatenate([labels.klass for labels in results[2::3]])
     g = (grid, grid)
-    klasses = codes[cell].reshape(g)
     return MapRender(
         us=us,
         vs=vs,
         losses=losses[cell].reshape(g),
         baseline=base[cell].reshape(g),
-        klasses=klasses,
-        klass_names=np.array([k.value for k in STATE_CLASSES], dtype=object)[klasses],
+        klasses=codes[cell].reshape(g),
     )
 
 
 def write_map_csv(
     path: str, render: MapRender, values: np.ndarray, seed, checkpoint: str
 ) -> None:
-    """Per-cell (u, v, loss, klass) rows; `values` picks model or baseline."""
+    """Per-cell (u, v, loss, klass) rows, klass as the class name; `values`
+    picks model or baseline."""
+    names = [k.value for k in STATE_CLASSES]
     with atomic_write(path) as fh:
         fh.write(f"# seed={seed} checkpoint={checkpoint}\n")
         fh.write("u,v,loss,klass\n")
         us = [f"{u:.17g}" for u in render.us.tolist()]
-        rows = zip(render.vs.tolist(), values.tolist(), render.klass_names.tolist())
-        for v, row, names in rows:
+        rows = zip(render.vs.tolist(), values.tolist(), render.klasses.tolist())
+        for v, row, codes in rows:
             v = f"{v:.17g}"
-            fh.write("".join([f"{u},{v},{x:.17g},{k}\n" for u, x, k in zip(us, row, names)]))
+            fh.write("".join([f"{u},{v},{x:.17g},{names[k]}\n" for u, x, k in zip(us, row, codes)]))
 
 
 def write_map_pgm(path: str, values: np.ndarray, seed, checkpoint: str) -> None:

@@ -22,6 +22,7 @@ __all__ = [
 ]
 
 HERMITICITY_TOL = 1e-9
+TRACE_TOL = 1e-10  # |tr rho - 1| allowed by check_density_matrix
 
 
 def kron_all(mats: Iterable[np.ndarray]) -> np.ndarray:
@@ -115,10 +116,10 @@ def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def check_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> tuple[int, str] | None:
+def check_density_matrix(rho: np.ndarray) -> tuple[int, str] | None:
     """The first matrix of rho, one (d, d) matrix or a stack (..., d, d), that
     is not finite, not Hermitian within HERMITICITY_TOL or not of unit trace
-    within tol, as (its index in the flattened stack, what is wrong); None
+    within TRACE_TOL, as (its index in the flattened stack, what is wrong); None
     when every matrix passes.
 
     Positivity is not tested: it takes an eigendecomposition per matrix,
@@ -135,7 +136,7 @@ def check_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> tuple[int, str]
             for j in range(i, d):
                 np.maximum(dev, np.abs(m[:, i, j] - m[:, j, i].conj()), out=dev)
         tr = np.einsum("bii->b", m)
-    bad = np.flatnonzero(~finite | (dev > HERMITICITY_TOL) | (np.abs(tr - 1.0) > tol))
+    bad = np.flatnonzero(~finite | (dev > HERMITICITY_TOL) | (np.abs(tr - 1.0) > TRACE_TOL))
     if not len(bad):
         return None
     k = int(bad[0])
@@ -143,4 +144,4 @@ def check_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> tuple[int, str]
         return k, "is not finite"
     if dev[k] > HERMITICITY_TOL:
         return k, f"is not Hermitian: max |rho - rho^dag| {dev[k]:.3e} > {HERMITICITY_TOL:.1e}"
-    return k, f"has trace {tr[k]:.6g}, not 1 within {tol:.1e}"
+    return k, f"has trace {tr[k]:.6g}, not 1 within {TRACE_TOL:.1e}"

@@ -9,8 +9,8 @@ Classes form the chain Product < NonDiscordant < Separable.
 
 Each criterion exists once, in array form over a stack (N, 8, 8):
 `negativities`, `zero_discord_flags` and `product_flags`; `label_states`
-combines them. The per-state functions `negativity` and `classify` are
-stacks of one.
+combines them into `StateLabels`, the one label form. The per-state
+functions `negativity` and `classify` are stacks of one.
 
 The commutators of the 2x2 blocks (the single qubit measured) are taken in
 closed form: for B = [[a, b], [c, d]] and delta = a - d, [B_i, B_j] is
@@ -50,23 +50,11 @@ STATE_CLASSES = tuple(StateClass)
 
 
 def class_code(entangled, product, discordant):
-    """Index into STATE_CLASSES of the class chain: any entangled cut gives
-    Entangled, else a product gives Product, else any discordant check gives
-    DiscordantSeparable, else NonDiscordant.
-
-    Takes Python bools (plain-Python arithmetic, cheap per state) or numpy
-    bool arrays of one shape (vectorized, returns integer codes).
-    """
+    """Integer codes, indices into STATE_CLASSES, of bool arrays of one shape
+    (one entry per state): any entangled cut gives Entangled, else a product
+    gives Product, else any discordant check gives DiscordantSeparable, else
+    NonDiscordant."""
     return 3 * entangled + (1 - entangled) * (1 - product) * (1 + discordant)
-
-
-@dataclass
-class StateLabel:
-    negativity: tuple[float, float, float]  # per cut; NaN where not computed
-    entangled_cut: tuple[bool, bool, bool]
-    discordant_check: tuple[bool, bool, bool, bool, bool, bool]
-    is_product: bool
-    klass: StateClass
 
 
 @dataclass
@@ -83,16 +71,6 @@ class StateLabels:
         """The same labels with the entanglement flags of the `known_separable`
         states forced to false, as if they had been passed to `label_states` so."""
         return _labels(self.negativity, self.discordant_check, self.is_product, known_separable)
-
-    def row(self, i: int) -> StateLabel:
-        """State i's labels as Python values."""
-        return StateLabel(
-            negativity=tuple(float(x) for x in self.negativity[i]),
-            entangled_cut=tuple(bool(x) for x in self.entangled_cut[i]),
-            discordant_check=tuple(bool(x) for x in self.discordant_check[i]),
-            is_product=bool(self.is_product[i]),
-            klass=STATE_CLASSES[int(self.klass[i])],
-        )
 
 
 def negativities(rhos: np.ndarray, cuts=CUTS) -> np.ndarray:
@@ -235,11 +213,6 @@ def negativity(rho: np.ndarray, cut: int) -> float:
     return float(negativities(np.asarray(rho)[None], (cut,))[0, 0])
 
 
-def classify(rho: np.ndarray, known_separable: bool = False) -> StateLabel:
-    """Full label: per-cut entanglement, six discord checks, product test, class.
-
-    known_separable=True records construction provenance: it forces the
-    entanglement flags to false (overriding partial-transpose noise) but
-    leaves the discord checks untouched.
-    """
-    return label_states(np.asarray(rho)[None], known_separable).row(0)
+def classify(rho: np.ndarray, known_separable: bool = False) -> StateLabels:
+    """`label_states` of the one state rho: its labels as a stack of one."""
+    return label_states(np.asarray(rho)[None], known_separable)

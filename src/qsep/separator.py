@@ -41,7 +41,7 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -115,15 +115,6 @@ class SeparatorConfig:
     @property
     def fc_width(self) -> int:
         return 8 * self.n_k
-
-    def to_dict(self) -> dict:
-        return {
-            "n_k": self.n_k,
-            "use_fc": self.use_fc,
-            "fc_depth": self.fc_depth,
-            "tie_weights": self.tie_weights,
-            "activation": self.activation,
-        }
 
 
 @dataclass
@@ -540,7 +531,7 @@ def save_checkpoint(
     shapes = [{"shape": list(a.shape)} for a in arrays]
     header = {
         "format_version": CHECKPOINT_VERSION,
-        "config": config.to_dict(),
+        "config": asdict(config),
         "kernels": shapes[0],
         "fc": None if len(shapes) == 1 else {"weights": shapes[1], "biases": shapes[2]},
         "training_meta": training_meta or {},

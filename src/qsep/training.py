@@ -23,8 +23,8 @@ from .linalg import check_density_matrix
 # module; negativity is imported for that alone
 from .oracles import (  # noqa: F401
     ENTANGLED_FILTER_TOL,
+    STATE_CLASSES,
     StateClass,
-    StateLabel,
     StateLabels,
     class_code,
     classify,
@@ -100,12 +100,10 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def pack_labels(labels: StateLabels) -> np.ndarray:
-    """(N,) uint16 bitfields of a stack of labels; a StateLabel packs as a
-    stack of one."""
-    ent = np.reshape(labels.entangled_cut, (-1, 3))
-    disc = np.reshape(labels.discordant_check, (-1, 6))
+    """(N,) uint16 bitfields of a stack of labels."""
+    ent, disc = labels.entangled_cut, labels.discordant_check
     bits = (
-        np.reshape(labels.is_product, -1) * BIT_PRODUCT
+        labels.is_product * BIT_PRODUCT
         | ~ent.any(axis=1) * BIT_SEPARABLE
         | ~disc.any(axis=1) * BIT_ZERO_DISCORD
         | ent @ _ENT_BITS
@@ -114,9 +112,9 @@ def pack_labels(labels: StateLabels) -> np.ndarray:
     return bits.astype(np.uint16)
 
 
-def pack_label(label: StateLabel) -> int:
-    """`pack_labels` of one label, as an int."""
-    return int(pack_labels(label)[0])
+def pack_label(labels: StateLabels) -> int:
+    """`pack_labels` of a stack of one, as an int."""
+    return int(pack_labels(labels)[0])
 
 
 def unpack_labels(bits: np.ndarray) -> StateLabels:
@@ -160,15 +158,13 @@ class Dataset:
 _MAGIC = b"QSD1"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIBI")  # magic, version u32, n_qubits u8, count u32
-_RECORD_DTYPE = np.dtype([("m", "<f8", (128,)), ("label", "<u2")])
+_RECORD_DTYPE = np.dtype([("m", "<c16", (64,)), ("label", "<u2")])  # row-major matrix
 
 
 def save_qsd(path: str, ds: Dataset) -> None:
     n = len(ds)
     rec = np.empty(n, dtype=_RECORD_DTYPE)
-    flat = ds.mats.reshape(n, 64)
-    rec["m"][:, 0::2] = flat.real
-    rec["m"][:, 1::2] = flat.imag
+    rec["m"] = ds.mats.reshape(n, 64)
     rec["label"] = ds.labels.astype(np.uint16)
     with atomic_write(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, 3, n))
@@ -193,16 +189,15 @@ def load_qsd(path: str) -> Dataset:
         raise DataFormatError(f"{path}: unsupported version {version} (byte offset 4)")
     if n_qubits != 3:
         raise DataFormatError(f"{path}: n_qubits {n_qubits} != 3 (byte offset 8)")
-    body = raw[_HEADER.size :]
+    body = len(raw) - _HEADER.size
     expected = count * _RECORD_DTYPE.itemsize
-    if len(body) != expected:
-        off = _HEADER.size + (len(body) // _RECORD_DTYPE.itemsize) * _RECORD_DTYPE.itemsize
+    if body != expected:
+        off = _HEADER.size + (body // _RECORD_DTYPE.itemsize) * _RECORD_DTYPE.itemsize
         raise DataFormatError(
-            f"{path}: body is {len(body)} bytes, expected {expected} for {count} records"
+            f"{path}: body is {body} bytes, expected {expected} for {count} records"
             f" (byte offset {off})"
         )
-    rec = np.frombuffer(body, dtype=_RECORD_DTYPE)
-    flat = rec["m"][:, 0::2] + 1j * rec["m"][:, 1::2]
+    rec = np.frombuffer(raw, dtype=_RECORD_DTYPE, offset=_HEADER.size)
     labels = rec["label"].astype(np.uint16)
     bad, what = np.flatnonzero(labels > VALID_LABEL_MASK), "has reserved bits"
     if not len(bad):
@@ -214,13 +209,13 @@ def load_qsd(path: str) -> Dataset:
         raise DataFormatError(
             f"{path}: record {i} label {labels[i]:#06x} {what} (byte offset {off})"
         )
-    mats = flat.reshape(count, 8, 8)
+    mats = rec["m"].reshape(count, 8, 8).copy()  # aligned, contiguous
     fault = check_density_matrix(mats)
     if fault is not None:
         i, what = fault
         off = _HEADER.size + i * _RECORD_DTYPE.itemsize
         raise DataFormatError(f"{path}: record {i} matrix {what} (byte offset {off})")
-    return Dataset(mats=mats.copy(), labels=labels, meta={"path": path})
+    return Dataset(mats=mats, labels=labels, meta={"path": path})
 
 
 def save_qsd_csv(path: str, ds: Dataset) -> None:
@@ -228,13 +223,9 @@ def save_qsd_csv(path: str, ds: Dataset) -> None:
     cols = [f"{p}{i}{j}" for i in range(8) for j in range(8) for p in ("re", "im")]
     with atomic_write(path) as fh:
         fh.write(",".join(cols) + ",label\n")
-        flat = ds.mats.reshape(len(ds), 64)
-        for row, lab in zip(flat, ds.labels):
-            vals = []
-            for z in row:
-                vals.append(f"{z.real:.17g}")
-                vals.append(f"{z.imag:.17g}")
-            fh.write(",".join(vals) + f",{int(lab)}\n")
+        parts = ds.mats.reshape(len(ds), 64).view(np.float64)  # re, im interleaved
+        for row, lab in zip(parts.tolist(), ds.labels.tolist()):
+            fh.write(",".join([f"{x:.17g}" for x in row]) + f",{lab}\n")
 
 
 # --- per-class generators ---------------------------------------------------
@@ -249,13 +240,16 @@ def _sample(family: str, klass: StateClass, draw) -> tuple[np.ndarray, int]:
     threshold). A draw of None counts as rejected; after MAX_DRAWS draws this
     raises RejectionLimitError."""
     entangled = klass is StateClass.ENTANGLED
+    code = STATE_CLASSES.index(klass)
     for _ in range(MAX_DRAWS):
         rho = draw()
         if rho is None:
             continue
-        label = classify(rho, known_separable=not entangled)
-        if label.klass is klass and (not entangled or max(label.negativity) > ENTANGLED_FILTER_TOL):
-            return rho, pack_label(label)
+        labels = classify(rho, known_separable=not entangled)
+        if labels.klass[0] == code and (
+            not entangled or labels.negativity.max() > ENTANGLED_FILTER_TOL
+        ):
+            return rho, pack_label(labels)
     raise RejectionLimitError(
         f"{family}: no acceptable state in {MAX_DRAWS} draws (training.MAX_DRAWS)"
     )

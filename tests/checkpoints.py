@@ -10,6 +10,7 @@ little-endian float64 bytes in payload order.
 """
 import base64
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +49,7 @@ def v2_payload(params, config, training_meta=None) -> dict:
     file's text."""
     return {
         "format_version": 2,
-        "config": config.to_dict(),
+        "config": asdict(config),
         "kernels": encode_array(params.kernels),
         "fc": None
         if params.fc_w is None

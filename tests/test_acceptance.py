@@ -296,9 +296,9 @@ def test_acceptance_7_property_suite():
             ket_to_dm(haar_random_pure(3, rng)),
         ):
             label = classify(rho)
-            discordant = any(label.discordant_check)
-            entangled = any(label.entangled_cut)
-            assert not (label.is_product and discordant), "product state flagged discordant"
+            discordant = label.discordant_check.any()
+            entangled = label.entangled_cut.any()
+            assert not (label.is_product[0] and discordant), "product state flagged discordant"
             assert not (not discordant and entangled), "zero-discord state flagged entangled"
             checked += 1
 

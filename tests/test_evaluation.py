@@ -306,7 +306,7 @@ class TestMap:
         # small_map is rendered with the default chunk, 512
         params, cfg = ident_model
         render = render_map(params, cfg, grid=21, chunk=chunk)
-        for field in ("losses", "baseline", "klasses", "klass_names"):
+        for field in ("losses", "baseline", "klasses"):
             assert np.array_equal(getattr(render, field), getattr(small_map, field)), field
 
     @pytest.mark.parametrize("chunk", [7, 512])
@@ -316,7 +316,7 @@ class TestMap:
         # test_chunk_invariant renders serially at other chunks
         params, cfg = ident_model
         render = render_map(params, cfg, grid=21, chunk=chunk, threads=threads)
-        for field in ("losses", "baseline", "klasses", "klass_names"):
+        for field in ("losses", "baseline", "klasses"):
             assert np.array_equal(getattr(render, field), getattr(small_map, field)), field
 
     @pytest.mark.parametrize("grid", [21, 41])
@@ -327,9 +327,7 @@ class TestMap:
         losses, base, klasses = ref_render_map(params, cfg, grid)
         assert np.abs(render.losses - losses).max() <= CHUNK_TOL
         assert np.array_equal(render.baseline, base)
-        assert np.array_equal(render.klasses, klasses)
-        names = np.array([k.value for k in STATE_CLASSES], dtype=object)[klasses]
-        assert np.array_equal(render.klass_names, names)
+        assert render.klasses.dtype == np.int8 and np.array_equal(render.klasses, klasses)
 
     def test_duplicate_cells_hold_equal_values(self, noisy_model):
         params, cfg = noisy_model
@@ -340,7 +338,7 @@ class TestMap:
         _, first, inverse = np.unique(table, axis=0, return_index=True, return_inverse=True)
         rep = first[inverse.ravel()]  # each cell's first cell with its parameters
         assert (rep != np.arange(grid * grid)).sum() > grid * grid // 4
-        for field in ("losses", "baseline", "klasses", "klass_names"):
+        for field in ("losses", "baseline", "klasses"):
             vals = getattr(render, field).ravel()
             assert np.array_equal(vals, vals[rep]), field
 
@@ -350,11 +348,11 @@ class TestMap:
         serial = render_map(params, cfg, grid=21, chunk=chunk)
         for threads in (2, 4):
             render = render_map(params, cfg, grid=21, chunk=chunk, threads=threads)
-            for field in ("losses", "baseline", "klasses", "klass_names"):
+            for field in ("losses", "baseline", "klasses"):
                 assert np.array_equal(getattr(render, field), getattr(serial, field)), field
         whole = render_map(params, cfg, grid=21, chunk=21 * 21)
         assert np.abs(serial.losses - whole.losses).max() <= CHUNK_TOL
-        for field in ("baseline", "klasses", "klass_names"):
+        for field in ("baseline", "klasses"):
             assert np.array_equal(getattr(serial, field), getattr(whole, field)), field
 
     def test_peak_memory(self):
@@ -431,9 +429,10 @@ class TestCsvWriters:
     def test_map_csv_bytes_match_per_cell_format(self, tmp_path, noisy_model):
         params, cfg = noisy_model
         render = render_map(params, cfg, grid=21)
+        klass = [[STATE_CLASSES[k].value for k in row] for row in render.klasses]
         for values in (render.losses, render.baseline):
             want = "# seed=5 checkpoint=abc\nu,v,loss,klass\n" + "".join(
-                f"{u:.17g},{v:.17g},{values[j, i]:.17g},{render.klass_names[j, i]}\n"
+                f"{u:.17g},{v:.17g},{values[j, i]:.17g},{klass[j][i]}\n"
                 for j, v in enumerate(render.vs)
                 for i, u in enumerate(render.us)
             )

@@ -88,7 +88,7 @@ def ref_is_product(rho, tol=1e-8):
 
 
 def ref_classify(rho, known_separable=False):
-    """(negativities or None, entangled, discordant, product, class code)."""
+    """(negativities or None, entangled, discordant, product, class)."""
     neg = None if known_separable else [ref_negativity(rho, c) for c in CUTS]
     disc = tuple(not ref_zero_discord_check(rho, cut, side) for cut, side in CHECKS)
     return ref_label(neg, disc, ref_is_product(rho))
@@ -97,16 +97,16 @@ def ref_classify(rho, known_separable=False):
 def ref_label(neg, disc, prod):
     ent = (False,) * 3 if neg is None else tuple(x > NEGATIVITY_TOL for x in neg)
     if any(ent):
-        code = 3
+        klass = StateClass.ENTANGLED
     elif prod:
-        code = 0
+        klass = StateClass.PRODUCT
     else:
-        code = 2 if any(disc) else 1
-    return neg, ent, disc, prod, code
+        klass = StateClass.DISCORDANT_SEPARABLE if any(disc) else StateClass.NON_DISCORDANT
+    return neg, ent, disc, prod, klass
 
 
 def assert_label_row(labels, i, ref):
-    neg, ent, disc, prod, code = ref
+    neg, ent, disc, prod, klass = ref
     if neg is None:
         assert np.isnan(labels.negativity[i]).all()
     else:
@@ -114,10 +114,8 @@ def assert_label_row(labels, i, ref):
     assert tuple(labels.entangled_cut[i].tolist()) == ent, i
     assert tuple(labels.discordant_check[i].tolist()) == disc, i
     assert bool(labels.is_product[i]) == prod, i
-    assert labels.klass[i] == code, i
-    row = labels.row(i)
-    assert (row.entangled_cut, row.discordant_check, row.is_product) == (ent, disc, prod)
-    assert row.klass is STATE_CLASSES[code]
+    assert labels.klass.dtype == np.int8
+    assert STATE_CLASSES[labels.klass[i]] is klass, i
 
 
 def ghz():
@@ -285,28 +283,29 @@ class TestClassify:
     def test_separable_pure_is_product(self):
         rng = np.random.default_rng(5)
         label = classify(ket_to_dm(random_separable_pure(rng)))
-        assert label.klass is StateClass.PRODUCT
-        assert label.is_product
-        assert not any(label.entangled_cut)
-        assert not any(label.discordant_check)
+        assert label.klass.tolist() == [STATE_CLASSES.index(StateClass.PRODUCT)]
+        assert label.is_product.tolist() == [True]
+        assert not label.entangled_cut.any()
+        assert not label.discordant_check.any()
 
     def test_ghz_entangled_all_cuts(self):
         label = classify(ghz())
-        assert label.klass is StateClass.ENTANGLED
-        assert all(label.entangled_cut)
+        assert label.klass.tolist() == [STATE_CLASSES.index(StateClass.ENTANGLED)]
+        assert label.entangled_cut.shape == (1, 3) and label.entangled_cut.all()
 
     def test_classical_mixture_non_discordant(self):
         label = classify(classical_two_term())
-        assert label.klass is StateClass.NON_DISCORDANT
-        assert not label.is_product
+        assert label.klass.tolist() == [STATE_CLASSES.index(StateClass.NON_DISCORDANT)]
+        assert label.is_product.tolist() == [False]
 
     def test_discordant_separable(self):
         rng = np.random.default_rng(6)
         hits = 0
         for _ in range(20):
             label = classify(random_product_mixture(rng), known_separable=True)
-            assert label.klass is not StateClass.ENTANGLED
-            if label.klass is StateClass.DISCORDANT_SEPARABLE:
+            klass = STATE_CLASSES[label.klass[0]]
+            assert klass is not StateClass.ENTANGLED
+            if klass is StateClass.DISCORDANT_SEPARABLE:
                 hits += 1
         assert hits > 0
 
@@ -314,7 +313,7 @@ class TestClassify:
         rng = np.random.default_rng(7)
         rho = random_product_mixture(rng)
         label = classify(rho, known_separable=True)
-        assert not any(label.entangled_cut)
+        assert label.entangled_cut.shape == (1, 3) and not label.entangled_cut.any()
 
     def test_hierarchy_over_generated_corpus(self):
         # product implies all six discord checks pass implies zero negativity
@@ -330,24 +329,25 @@ class TestClassify:
             for _ in range(40):
                 rho = gen()
                 label = classify(rho)
-                if label.is_product:
-                    assert not any(label.discordant_check)
-                if not any(label.discordant_check):
-                    assert not any(label.entangled_cut)
+                if label.is_product[0]:
+                    assert not label.discordant_check.any()
+                if not label.discordant_check.any():
+                    assert not label.entangled_cut.any()
 
     def test_klass_consistency(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
             rho = random_product_mixture(rng)
             label = classify(rho)
-            if any(label.entangled_cut):
-                assert label.klass is StateClass.ENTANGLED
-            elif label.is_product:
-                assert label.klass is StateClass.PRODUCT
-            elif not any(label.discordant_check):
-                assert label.klass is StateClass.NON_DISCORDANT
+            klass = STATE_CLASSES[label.klass[0]]
+            if label.entangled_cut.any():
+                assert klass is StateClass.ENTANGLED
+            elif label.is_product[0]:
+                assert klass is StateClass.PRODUCT
+            elif not label.discordant_check.any():
+                assert klass is StateClass.NON_DISCORDANT
             else:
-                assert label.klass is StateClass.DISCORDANT_SEPARABLE
+                assert klass is StateClass.DISCORDANT_SEPARABLE
 
 
 class TestBatchedCore:
@@ -397,8 +397,7 @@ class TestBatchedCore:
             for j, (cut, side) in enumerate(CHECKS):
                 assert zero_discord_flags(rho[None])[0, j] == ref_zero_discord_check(rho, cut, side)
             assert product_flags(rho[None])[0] == ref_is_product(rho)
-            label = classify(rho)
-            assert STATE_CLASSES.index(label.klass) == ref_classify(rho)[4]
+            assert STATE_CLASSES[classify(rho).klass[0]] is ref_classify(rho)[4]
 
     def test_chunking_invariant(self, monkeypatch):
         ds = build_s_mixed(50, 33)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import tracemalloc
+from dataclasses import asdict
 from itertools import permutations
 from pathlib import Path
 
@@ -716,7 +717,7 @@ class TestCheckpoint:
         header, payload = split_v3(raw)
         assert header == {
             "format_version": 3,
-            "config": cfg.to_dict(),
+            "config": asdict(cfg),
             "kernels": {"shape": list(params.kernels.shape)},
             "fc": None if not cfg.use_fc else {"weights": {"shape": list(params.fc_w.shape)},
                                                 "biases": {"shape": list(params.fc_b.shape)}},
@@ -744,7 +745,7 @@ class TestCheckpoint:
         params = init_params(cfg, np.random.default_rng(33), noise=0.05)
         payload = {
             "format_version": 1,
-            "config": cfg.to_dict(),
+            "config": asdict(cfg),
             "kernels": params.kernels.tolist(),
             "fc": {"weights": params.fc_w.tolist(), "biases": params.fc_b.tolist()}
             if use_fc

@@ -325,14 +325,14 @@ class TestMapFamily:
         assert peak <= 3.5 * len(table) * 64 * 16, peak / (len(table) * 64 * 16)
 
     def test_all_four_classes_on_coarse_grid(self):
-        from qsep.oracles import StateClass, classify
+        from qsep.oracles import STATE_CLASSES, StateClass, classify
 
         seen = set()
         for u in np.linspace(0, 2, 21):
             for v in np.linspace(0, 2, 21):
                 c = map_params(u, v)[0, 3]
                 label = classify(map_state(u, v), known_separable=(c == 0.0))
-                seen.add(label.klass)
+                seen.add(STATE_CLASSES[label.klass[0]])
         assert seen == set(StateClass)
 
 

@@ -55,11 +55,9 @@ class TestLabels:
         for _ in range(20):
             label = classify(ket_to_dm(random_separable_pure(rng)))
             bits = pack_label(label)
-            back = unpack_labels(np.array([bits], dtype=np.uint16)).row(0)
-            assert back.is_product == label.is_product
-            assert back.entangled_cut == label.entangled_cut
-            assert back.discordant_check == label.discordant_check
-            assert back.klass is label.klass
+            back = unpack_labels(np.array([bits], dtype=np.uint16))
+            for field in ("is_product", "entangled_cut", "discordant_check", "klass"):
+                assert np.array_equal(getattr(back, field), getattr(label, field)), field
 
     def test_reserved_bits_rejected(self):
         with pytest.raises(DataFormatError, match="0x1000 has reserved bits"):
@@ -77,6 +75,15 @@ class TestQsdFormat:
         back = load_qsd(p)
         assert np.array_equal(back.mats, small_val.mats)
         assert np.array_equal(back.labels, small_val.labels)
+
+    def test_signed_zeros_roundtrip(self, tmp_path, small_val):
+        # a -0.0 real part beside a +0.0 imaginary part, and a -0.0 imaginary part
+        mats = small_val.mats[:2].copy()
+        mats[0, 0, 1] = mats[0, 1, 0] = complex(-0.0, 0.0)
+        mats[1, 2, 3], mats[1, 3, 2] = complex(0.0, -0.0), complex(0.0, 0.0)
+        p = str(tmp_path / "z.qsd")
+        save_qsd(p, Dataset(mats=mats, labels=small_val.labels[:2]))
+        assert load_qsd(p).mats.tobytes() == mats.tobytes()
 
     def test_same_content_same_bytes(self, tmp_path, small_val):
         p1, p2 = str(tmp_path / "a.qsd"), str(tmp_path / "b.qsd")
@@ -614,7 +621,7 @@ class TestLabelCodec:
     def test_pack_label_is_pack_labels_of_one(self, every_kind):
         ds = every_kind["s-mixed"]
         labels = label_states(ds.mats)
-        assert [pack_label(labels.row(i)) for i in range(len(ds))] == pack_labels(labels).tolist()
+        assert [pack_label(classify(rho)) for rho in ds.mats] == pack_labels(labels).tolist()
 
     def test_decoded_labels_match_a_fresh_labelling(self, every_kind):
         ds = every_kind["s-mixed"]
