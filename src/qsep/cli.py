@@ -45,9 +45,9 @@ def _config_flags(command: str, path: str) -> list[str]:
     null leaves a setting unset; true gives a switch and false leaves it off.
     Keys of other commands are ignored."""
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             config = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise DataFormatError(f"config file {path} must contain a JSON object")

@@ -242,6 +242,18 @@ def _distinct_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return table[first[order]], np.argsort(order)[inverse.ravel()]
 
 
+def _render_span(
+    table: np.ndarray, params: SeparatorParams, config: SeparatorConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Model losses, baseline losses and class codes of the states of the
+    `map_params` rows `table`, built here and dropped on return."""
+    mats = map_states(table)
+    losses, base = _model_losses(mats, params, config), baseline_losses(mats)
+    # unboosted rows (column 3, c_boost, is 0) are two-term mixtures of
+    # product kets: separable by construction
+    return losses, base, label_states(mats, table[:, 3] == 0.0).klass
+
+
 def render_map(
     params: SeparatorParams,
     config: SeparatorConfig,
@@ -257,36 +269,25 @@ def render_map(
     cell's (p, a, phi, c_boost) (3,516 of 10,201 cells at grid 101), and
     `map_states` gives equal rows equal matrices, so only the distinct rows,
     in order of first occurrence, are built and evaluated; each cell then
-    takes its row's results. Each `chunk`-sized span of the distinct states
-    is three tasks (model, baseline, oracle), all queued on one pool of
-    `threads` workers, so the oracle and the baseline run beside the model.
-    The thread count never changes a bit. The baseline and the labels do not
-    depend on the chunk either; the model losses can move in their last bits
-    with it and come from the folded forward-only pass, within 1e-12 of the
-    unfolded one, as in `eval_losses`. Raises ValueError when grid is below
-    MIN_GRID.
+    takes its row's results. Each `chunk`-sized span of the distinct rows is
+    one task (`_render_span`) that builds its states, then runs the model,
+    the baseline and the oracle on them; the tasks queue on one pool of
+    `threads` workers, so no more than `threads` spans of states exist at
+    once. `map_states` builds each row bit-identically whatever else is in
+    the call, so the span bounds change no state, and the thread count never
+    changes a bit. The baseline and the labels do not depend on the chunk
+    either; the model losses can move in their last bits with it and come
+    from the folded forward-only pass, within 1e-12 of the unfolded one, as
+    in `eval_losses`. Raises ValueError when grid is below MIN_GRID.
     """
     if grid < MIN_GRID:
         raise ValueError(f"grid must be >= {MIN_GRID}")
     us = np.linspace(0.0, 2.0, grid)
     vs = np.linspace(0.0, 2.0, grid)
     distinct, cell = _distinct_rows(map_params(*np.meshgrid(us, vs)))
-    mats = map_states(distinct)
-    # unboosted cells (column 3, c_boost, is 0) are two-term mixtures of
-    # product kets: separable by construction
-    known_separable = distinct[:, 3] == 0.0
-    tasks = []
-    for lo, hi in _spans(len(mats), chunk):
-        part = mats[lo:hi]
-        tasks += [
-            partial(_model_losses, part, params, config),
-            partial(baseline_losses, part),
-            partial(label_states, part, known_separable[lo:hi]),
-        ]
-    results = _run_tasks(tasks, threads)
-    losses = np.concatenate(results[0::3])
-    base = np.concatenate(results[1::3])
-    codes = np.concatenate([labels.klass for labels in results[2::3]])
+    tasks = [partial(_render_span, distinct[lo:hi], params, config)
+             for lo, hi in _spans(len(distinct), chunk)]
+    losses, base, codes = (np.concatenate(r) for r in zip(*_run_tasks(tasks, threads)))
     g = (grid, grid)
     return MapRender(
         us=us,

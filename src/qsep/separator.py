@@ -292,33 +292,33 @@ def _act_prime(h: np.ndarray, kind: str) -> np.ndarray:
 def _decode(factors: np.ndarray):
     """Unnormalized Kronecker sum with its normalization.
 
-    Returns (rho_hat, s, norm, guard, ft, ab): s is the (B, 8, 8) sum over
+    Returns (rho_hat, s, norm, guard, ft): s is the (B, 8, 8) sum over
     channels of factor_A (x) factor_B (x) factor_C, norm its real trace, or
     the channel count where that trace is within TRACE_GUARD of zero (guard);
-    ft holds the factors state-last, (n_k, 3, 2, 2, B), and ab the products
-    factor_A (x) factor_B, (n_k, 4, 4, B).
+    ft holds the factors state-last, (n_k, 3, 2, 2, B).
 
     The products are formed state-last, so every elementwise step runs along
     the batch, and s is accumulated one channel at a time, in channel order:
     it equals the per-channel sum of `linalg.kron_all(factors[b, c])` bit for
-    bit.
+    bit. Each channel's factor_A (x) factor_B goes into one reused buffer, so
+    the pass holds no per-channel stack beyond ft.
     """
     f = np.asarray(factors)
     b, n_k = f.shape[:2]
     ft = np.ascontiguousarray(f.transpose(1, 2, 3, 4, 0))
-    ab = (ft[:, 0, :, None, :, None] * ft[:, 1, None, :, None, :]).reshape(n_k, 4, 4, b)
-    fc = ft[:, 2, None, None]  # (n_k, 1, 1, 2, 2, B)
+    ab = np.empty((2, 2, 2, 2, b), dtype=complex)  # (i, k, j, l, state)
     s = np.zeros((4, 4, 2, 2, b), dtype=complex)  # (ik, jl, m, n, state)
     term = np.empty_like(s)
     for c in range(n_k):
-        np.multiply(ab[c, :, :, None, None], fc[c], out=term)
+        np.multiply(ft[c, 0, :, None, :, None], ft[c, 1, None, :, None, :], out=ab)
+        np.multiply(ab.reshape(4, 4, 1, 1, b), ft[c, 2, None, None], out=term)
         s += term
-    del term  # at most two (B, 8, 8) arrays are alive from here on
+    del ab, term  # at most two (B, 8, 8) arrays are alive from here on
     s = s.transpose(4, 0, 2, 1, 3).reshape(b, 8, 8)
     tr = np.einsum("bii->b", s).real
     guard = np.abs(tr) <= TRACE_GUARD
     norm = np.where(guard, float(n_k), tr)
-    return s / norm[:, None, None], s, norm, guard, ft, ab
+    return s / norm[:, None, None], s, norm, guard, ft
 
 
 def decode(factors: np.ndarray) -> np.ndarray:
@@ -353,7 +353,9 @@ def forward_batch(
     `gradient` runs to 1e-12 absolute. Activations are feature-major, (paths,
     w, 3 B / paths): tied paths are one (w, 3 B) batch through the shared FC
     stack, untied paths three stacked products (`_paths_view`). Without
-    want_cache only the current layer's activation is kept.
+    want_cache only the current layer's activation is kept, and it is freed
+    before the decoder, which forms each channel's factor_A (x) factor_B in
+    one reused buffer (`_decode`), so no (n_k, 4, 4, B) stack is made.
     """
     _check_shapes(params.shapes(), config)
     rhos = np.asarray(rhos)
@@ -381,7 +383,7 @@ def forward_batch(
     ft.real, ft.imag = out[:, 0].transpose(2, 0, 1, 3), out[:, 1].transpose(2, 0, 1, 3)
     del h, out  # without a cache, free the last activation before decoding
     factors = ft.reshape(n_k, 3, 2, 2, b).transpose(4, 0, 1, 2, 3)
-    rho_hat, s, norm, guard, ft, ab = _decode(factors)
+    rho_hat, s, norm, guard, ft = _decode(factors)
     losses = loss(rhos, rho_hat)
     if not want_cache:
         return losses, rho_hat, factors
@@ -390,7 +392,6 @@ def forward_batch(
         "xb": xb,
         "hs": hs,
         "ft": ft,
-        "ab": ab,
         "s": s,
         "guard": guard,
         "norm": norm,
@@ -426,7 +427,9 @@ def gradient(
     gfac = np.empty((3, n_k, 2, 2, b), dtype=complex)
     np.einsum("cikjlb,cklb->cijb", t, fj[:, 1], out=gfac[0])
     np.einsum("cikjlb,cijb->cklb", t, fj[:, 0], out=gfac[1])
-    np.einsum("cqwb,qwmnb->cmnb", cache["ab"].conj(), v, out=gfac[2])
+    # conj(A) (x) conj(B) is conj(A (x) B) bit for bit; only here is it whole
+    abj = (fj[:, 0, :, None, :, None] * fj[:, 1, None, :, None, :]).reshape(n_k, 4, 4, b)
+    np.einsum("cqwb,qwmnb->cmnb", abj, v, out=gfac[2])
     gh = np.empty((3 * config.fc_width, b))
     gv = _paths_view(gh, n_k, p)
     gfac = gfac.reshape(3, n_k, 4, b).transpose(0, 2, 1, 3)

@@ -601,6 +601,7 @@ def train(
             if sep_cfg.tie_weights:
                 grads.kernels = symmetrize_pair_swap(grads.kernels)
             opt.step(params.arrays(), grads.arrays())
+            del grads  # free before the next gradient or the validation pass
             acc += batch_loss * len(idx)
             seen += len(idx)
         for a in params.arrays():

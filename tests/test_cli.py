@@ -608,6 +608,16 @@ class TestConfigPrecedence:
                    "--count", "5", "--out", out)
         assert code == 3
 
+    @pytest.mark.parametrize("content", [b'{"epochs": 1,', b'{"out": "m\xe9.json"}',
+                                         b"\xff\xfe\xfd"], ids=["truncated", "latin-1", "binary"])
+    def test_config_not_json_exit_3(self, workdir, capsys, content):
+        # bytes that are not UTF-8 JSON are a data format error, like bad JSON
+        cfgp = workdir / "notjson.json"
+        cfgp.write_bytes(content)
+        assert run("train", "--config", str(cfgp)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data format error: config file {cfgp} is not valid JSON")
+
 
 # --- the settings contract of every subcommand ---------------------------------
 # (command, setting, value): the value differs from the setting's default.

@@ -1,6 +1,7 @@
 """Dataset builders, the QSD1 binary format, and the training loop."""
 import os
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -501,6 +502,23 @@ class TestTrainLoop:
         got = mean_loss(params, scfg, small_val.mats)
         want = mean_loss(rep.params, scfg, small_val.mats)
         assert abs(got - want) <= 1e-14
+
+    def test_epoch_peak_memory(self, small_train, small_val):
+        # one epoch holds the weights, Adam's two moments, the best copy and
+        # one step's gradient with its temporaries (0.85 sets at batch 32);
+        # the filtered data copies add about 0.2. Traced peak: 6.03 parameter
+        # sets, within 6.5; keeping the last step's gradient alive adds one.
+        cfg = TrainConfig(epochs=1, batch_size=32, seed=0)
+        scfg = SeparatorConfig(n_k=48)
+        train(cfg, SeparatorConfig(n_k=2), small_train, small_val)
+        tracemalloc.start()
+        try:
+            rep = train(cfg, scfg, small_train, small_val)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        unit = sum(a.nbytes for a in rep.params.arrays())
+        assert peak <= 6.5 * unit, f"peak {peak / unit:.2f} parameter sets"
 
     def test_empty_subset_rejected(self, small_val):
         ent_free = subset_filter(small_val, "Prod")
