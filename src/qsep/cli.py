@@ -155,10 +155,10 @@ def cmd_eval(r: dict) -> int:
         "best_balanced_accuracy": result.best_balanced_accuracy,
     }
     if r["tau"] is not None:
-        conf = evaluation.confusion_at(losses, positive, r["tau"])
+        at_tau = evaluation.sweep(losses, positive, [r["tau"]])
+        conf = [[int(at_tau.tn[0]), int(at_tau.fp[0])], [int(at_tau.fn[0]), int(at_tau.tp[0])]]
         evaluation.write_confusion_csv(f"{prefix}.confusion.csv", conf, seed, sha)
-        summary["tau"] = r["tau"]
-        summary["confusion"] = conf.tolist()
+        summary.update(tau=r["tau"], confusion=conf)
     manifest = dict(r, command="eval", checkpoint_sha=sha, **summary)
     _write_manifest(f"{prefix}.manifest.json", manifest)
     print(

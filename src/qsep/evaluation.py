@@ -14,7 +14,7 @@ from functools import partial
 import numpy as np
 
 # classify and map_state are unused here: perfbench/layers.py wraps them by attribute
-from .oracles import STATE_CLASSES, classify, label_states  # noqa: F401
+from .oracles import STATE_CLASSES, StateClass, classify, label_states  # noqa: F401
 from .separator import (
     SeparatorConfig,
     SeparatorParams,
@@ -170,19 +170,6 @@ def sweep(
     )
 
 
-def confusion_at(losses: np.ndarray, positive: np.ndarray, threshold: float) -> np.ndarray:
-    """2x2 counts, rows = true label (negative, positive), columns = predicted."""
-    losses = np.asarray(losses, dtype=float)
-    positive = np.asarray(positive, dtype=bool)
-    pred = losses > threshold
-    return np.array(
-        [
-            [int((~positive & ~pred).sum()), int((~positive & pred).sum())],
-            [int((positive & ~pred).sum()), int((positive & pred).sum())],
-        ]
-    )
-
-
 def write_sweep_csv(path: str, result: SweepResult, seed, checkpoint: str) -> None:
     with atomic_write(path) as fh:
         fh.write(f"# seed={seed} checkpoint={checkpoint}\n")
@@ -213,13 +200,13 @@ def write_class_means_csv(
                 fh.write(f"{name},{int(mask.sum())}," + ",".join(f"{x:.17g}" for x in stats) + "\n")
 
 
-def write_confusion_csv(path: str, conf: np.ndarray, seed, checkpoint: str) -> None:
-    """The 2x2 counts of `confusion_at`, rows = true label."""
+def write_confusion_csv(path: str, conf: list, seed, checkpoint: str) -> None:
+    """The counts [[tn, fp], [fn, tp]] of a one-threshold `sweep`, rows = true label."""
     with atomic_write(path) as fh:
         fh.write(f"# seed={seed} checkpoint={checkpoint}\n")
         fh.write(",pred_negative,pred_positive\n")
-        fh.write(f"true_negative,{conf[0, 0]},{conf[0, 1]}\n")
-        fh.write(f"true_positive,{conf[1, 0]},{conf[1, 1]}\n")
+        fh.write(f"true_negative,{conf[0][0]},{conf[0][1]}\n")
+        fh.write(f"true_positive,{conf[1][0]},{conf[1][1]}\n")
 
 
 # --- 2-D map rendering ------------------------------------------------------
@@ -342,7 +329,8 @@ def region_iou(mask_a: np.ndarray, mask_b: np.ndarray) -> float:
 def map_iou(render: MapRender, values: np.ndarray, threshold: float) -> float:
     """IoU between the sub-threshold region of `values` and the oracle's
     non-discordant region (products included) on the map."""
-    oracle = (render.klasses == 0) | (render.klasses == 1)  # Product or NonDiscordant
+    oracle = np.isin(render.klasses, [STATE_CLASSES.index(StateClass.PRODUCT),
+                                      STATE_CLASSES.index(StateClass.NON_DISCORDANT)])
     predicted = values <= threshold
     return region_iou(predicted, oracle)
 

@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import io
 import json
-import math
 import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -159,11 +159,11 @@ def init_params(
     """Identity(-ish) start: kernels = I4 + noise, FC stack = identity + noise.
 
     In tied mode the kernel noise is symmetrized under the complementary-pair
-    swap so qubit-permutation equivariance is exact from the start. Hidden FC
-    biases carry a +FC_BIAS_SHIFT offset, exactly compensated downstream, so
-    the ReLU stack acts as the identity on factor entries (which would
-    otherwise be clipped when negative) and the whole model begins at the
-    partial-trace solution.
+    swap so qubit-permutation equivariance is exact from the start. In a ReLU
+    stack the hidden biases carry a +FC_BIAS_SHIFT offset, exactly compensated
+    downstream, so negative factor entries pass unclipped and the model begins
+    at the partial-trace solution; tanh biases start at 0, where tanh is
+    closest to the identity, so a tanh model begins near that solution.
     """
     p = config.n_paths
     kernels = np.eye(4)[None, None, None] + rng.uniform(
@@ -177,7 +177,7 @@ def init_params(
     d = config.fc_depth
     fc_w = np.eye(h)[None, None] + rng.uniform(-noise, noise, size=(p, d, h, h))
     fc_b = np.zeros((p, d, h))
-    if d >= 2:
+    if d >= 2 and config.activation == "relu":
         shift = FC_BIAS_SHIFT * np.ones(h)
         for t in range(p):
             fc_b[t, 0] = shift
@@ -472,27 +472,10 @@ def baseline_losses(rhos: np.ndarray) -> np.ndarray:
 CHECKPOINT_VERSION = 3
 
 
-def _decode_array(obj, version: int) -> np.ndarray:
-    """A writable, C-contiguous native float64 array from a version-1 or
-    version-2 checkpoint entry: a nested list in version 1, and in version 2
-    `{"shape": [...], "f8": <base64 of its little-endian float64 bytes>}`.
-
-    Raises KeyError, TypeError or ValueError (bad base64 included) when the
-    entry is malformed or its byte count disagrees with its shape.
-    """
-    if version == 1:
-        return np.asarray(obj, dtype=float)
-    shape = tuple(obj["shape"])
-    raw = base64.b64decode(obj["f8"], validate=True)
-    if len(raw) != 8 * math.prod(shape):
-        raise ValueError(f"{len(raw)} bytes do not hold float64 shape {shape}")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
-
-
 def _read_arrays(fh, config: SeparatorConfig) -> dict:
-    """The version-3 payload: the arrays config implies, in payload order,
-    read straight into writable native float64 arrays. Raises ValueError
-    unless the payload fills them and ends with the last one."""
+    """The arrays config implies, in payload order, read from their
+    little-endian float64 bytes in `fh` straight into writable native float64
+    arrays. Raises ValueError unless the bytes fill them and end with the last."""
     arrays = {}
     for name, shape in _param_shapes(config).items():
         a = np.empty(shape, dtype="<f8")
@@ -549,11 +532,12 @@ def load_checkpoint(path: str) -> tuple[SeparatorParams, SeparatorConfig, dict]:
     """Read a version-1, -2 or -3 checkpoint.
 
     The first line tells them apart. A version-1 or -2 file is that one line,
-    a JSON object holding its arrays (see `_decode_array`); a version-3 file's
-    first line is its JSON header, and the arrays' bytes follow it. Raises
-    DataFormatError (exit 3) unless the first line is a JSON object of a known
-    version, the config is valid, the arrays decode, match the config's shapes
-    and fill the file exactly, and every weight is finite.
+    a JSON object holding its arrays as nested lists (v1) or as shape and
+    base64 of the float64 bytes (v2); a version-3 file's first line is its
+    JSON header, and the arrays' bytes follow it. All go through one byte
+    reader, `_read_arrays`. Raises DataFormatError (exit 3) unless the first
+    line is a JSON object of a known version, the config is valid, the shapes
+    match it, the bytes (per array in v2) fill them exactly and are finite.
     """
     from .errors import DataFormatError
 
@@ -574,14 +558,20 @@ def load_checkpoint(path: str) -> tuple[SeparatorParams, SeparatorConfig, dict]:
             entries = {"kernels": payload["kernels"]}
             if fc is not None:
                 entries.update(fc_w=fc["weights"], fc_b=fc["biases"])
-            if version == CHECKPOINT_VERSION:
-                _check_shapes({name: tuple(e["shape"]) for name, e in entries.items()}, config)
-                arrays = _read_arrays(fh, config)
-            else:
-                if fh.read().strip():
-                    raise ValueError("data after the JSON object")
-                arrays = {name: _decode_array(e, version) for name, e in entries.items()}
-                _check_shapes({name: a.shape for name, a in arrays.items()}, config)
+            if version != CHECKPOINT_VERSION and fh.read().strip():
+                raise ValueError("data after the JSON object")
+            if version == 1:  # nested lists, whose nesting gives the shapes
+                entries = {name: np.asarray(e, dtype="<f8") for name, e in entries.items()}
+                raw = [a.tobytes() for a in entries.values()]
+            shapes = [e.shape if version == 1 else tuple(e["shape"]) for e in entries.values()]
+            _check_shapes(dict(zip(entries, shapes)), config)
+            if version == 2:
+                raw = [base64.b64decode(e["f8"], validate=True) for e in entries.values()]
+                # per array: a right total alone lets bytes shift between arrays
+                if [len(data) for data in raw] != [8 * int(np.prod(s)) for s in shapes]:
+                    raise ValueError("an array's bytes do not fill its float64 shape")
+            stream = fh if version == CHECKPOINT_VERSION else io.BytesIO(b"".join(raw))
+            arrays = _read_arrays(stream, config)
         except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"checkpoint {path} is malformed: {exc}") from exc
     params = SeparatorParams(**arrays)

@@ -23,6 +23,7 @@ from .linalg import check_density_matrix
 # module; negativity is imported for that alone
 from .oracles import (  # noqa: F401
     ENTANGLED_FILTER_TOL,
+    NEGATIVITY_TOL,
     STATE_CLASSES,
     StateClass,
     StateLabels,
@@ -312,7 +313,7 @@ def _near_boundary_entangled(rng: np.random.Generator) -> np.ndarray | None:
     lo, hi = 0.0, 1.0  # lo stays on the PPT side, hi on the entangled side
     for _ in range(20):
         mid = 0.5 * (lo + hi)
-        if negativities((mid * core + (1.0 - mid) * filler)[None]).max() > 1e-9:
+        if negativities((mid * core + (1.0 - mid) * filler)[None]).max() > NEGATIVITY_TOL:
             hi = mid
         else:
             lo = mid

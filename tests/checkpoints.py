@@ -1,7 +1,7 @@
 """Checkpoint files for the tests: the version-2 writer, which the package no
-longer has, to build tampered version-2 files, and the split of a version-3
-file into its header and payload, to build tampered version-3 files
-(`tampered_v3`).
+longer has, to build tampered version-2 files, tampered copies of the old
+files (`tampered_old`), and the split of a version-3 file into its header and
+payload, to build tampered version-3 files (`tampered_v3`).
 
 `tests/data/` holds small version-1 and version-2 checkpoints of the same
 weights, written by the writers of those versions; `OLD_CHECKPOINTS` names
@@ -56,6 +56,28 @@ def v2_payload(params, config, training_meta=None) -> dict:
         else {"weights": encode_array(params.fc_w), "biases": encode_array(params.fc_b)},
         "training_meta": training_meta or {},
     }
+
+
+# version-1 and -2 files that must not load, though each holds the right
+# number of weights: a v2 file whose kernels are 8 bytes short and whose FC
+# weights are 8 bytes long, and a v1 file with one kernel row of five entries
+# and one of three
+OLD_TAMPERS = ["v2_bytes_shifted", "v1_ragged"]
+
+
+def tampered_old(tamper: str) -> str:
+    """The text of the `untied_nk2` checkpoint with one `OLD_TAMPERS` fault."""
+    if tamper == "v2_bytes_shifted":
+        payload = json.loads(old_checkpoint("untied_nk2", 2).read_text())
+        kernels, weights = payload["kernels"], payload["fc"]["weights"]
+        k, w = (base64.b64decode(e["f8"]) for e in (kernels, weights))
+        kernels["f8"] = base64.b64encode(k[:-8]).decode("ascii")
+        weights["f8"] = base64.b64encode(k[-8:] + w).decode("ascii")
+    else:
+        payload = json.loads(old_checkpoint("untied_nk2", 1).read_text())
+        rows = payload["kernels"][0][0][0]
+        rows[0].append(rows[1].pop())
+    return json.dumps(payload)
 
 
 def split_v3(raw: bytes) -> tuple[dict, bytes]:

@@ -19,7 +19,6 @@ import pytest
 from classical_states import random_classical_state
 
 from qsep.evaluation import (
-    confusion_at,
     eval_losses,
     group_masks,
     map_iou,
@@ -150,11 +149,10 @@ def test_acceptance_3_loss_ordering(mixed_eval, pure_eval, s_mixed):
 
 def test_acceptance_4_error_asymmetry(mixed_eval, s_mixed):
     losses, sweep_d, _ = mixed_eval
-    tau = sweep_d.best_threshold
-    cm_e = confusion_at(losses, positives_for_mode(s_mixed.labels, "entanglement"), tau)
-    cm_d = confusion_at(losses, positives_for_mode(s_mixed.labels, "discord"), tau)
-    fp_e, fn_e = int(cm_e[0, 1]), int(cm_e[1, 0])
-    fp_d, fn_d = int(cm_d[0, 1]), int(cm_d[1, 0])
+    tau, best = sweep_d.best_threshold, sweep_d.best_index
+    sweep_e = sweep(losses, positives_for_mode(s_mixed.labels, "entanglement"), [tau])
+    fp_e, fn_e = int(sweep_e.fp[0]), int(sweep_e.fn[0])
+    fp_d, fn_d = int(sweep_d.fp[best]), int(sweep_d.fn[best])
     ok = fp_e >= ENT_FP_OVER_FN_MIN * fn_e and fn_d > fp_d
     _verdict(4, ok, f"at tau={tau:.4f}: entanglement FP {fp_e} vs FN {fn_e} "
                     f"(>= {ENT_FP_OVER_FN_MIN:.0f}x), discord FN {fn_d} > FP {fp_d}")

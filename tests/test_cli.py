@@ -13,8 +13,8 @@ from qsep import cli, states, training
 from qsep.cli import main, usable_cpus
 from qsep.separator import SeparatorConfig, load_checkpoint, save_checkpoint
 from qsep.training import TrainConfig, build_dataset, load_qsd
-from checkpoints import (OLD_CHECKPOINTS, V3_TAMPERS, encode_array, old_checkpoint,
-                         tampered_v3, v2_payload)
+from checkpoints import (OLD_CHECKPOINTS, OLD_TAMPERS, V3_TAMPERS, encode_array,
+                         old_checkpoint, tampered_old, tampered_v3, v2_payload)
 
 
 def run(*argv):
@@ -517,6 +517,17 @@ class TestCheckpointFiles:
         err = capsys.readouterr().err
         assert "checkpoint" in err and "Traceback" not in err
         assert sorted(os.listdir(tmp_path)) == sorted(["bad.ckpt", f"ok_{tamper}.ckpt"])
+
+    @pytest.mark.parametrize("tamper", OLD_TAMPERS)
+    @pytest.mark.parametrize("command", ["eval", "map", "kernels"])
+    def test_malformed_old_exit_3(self, tmp_path, mixed_qsd, command, tamper, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(tampered_old(tamper))
+        out = str(tmp_path / "out")
+        assert run(command, *self.argv(command, str(bad), out, mixed_qsd)) == 3
+        err = capsys.readouterr().err
+        assert "checkpoint" in err and "Traceback" not in err
+        assert os.listdir(tmp_path) == ["bad.json"]
 
 
 class TestVerifyCmd:

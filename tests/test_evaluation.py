@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from qsep.evaluation import (
-    confusion_at,
     eval_losses,
     group_masks,
     map_iou,
@@ -143,28 +142,27 @@ class TestSweep:
 
 
 class TestConfusion:
+    """The `--tau` confusion matrix is a one-threshold sweep."""
+
     def test_perfect_separation(self):
         losses = np.array([0.001, 0.002, 0.5, 0.6])
         positive = np.array([False, False, True, True])
-        m = confusion_at(losses, positive, 0.01)
-        assert m[0, 1] == 0 and m[1, 0] == 0
-        assert m[0, 0] == 2 and m[1, 1] == 2
+        m = sweep(losses, positive, thresholds=[0.01])
+        assert m.fp[0] == 0 and m.fn[0] == 0
+        assert m.tn[0] == 2 and m.tp[0] == 2
 
     def test_tau_infinite(self):
         losses = np.array([0.001, 0.002, 0.5, 0.6])
         positive = np.array([False, False, True, True])
-        m = confusion_at(losses, positive, np.inf)
-        assert m[0, 1] == 0 and m[1, 1] == 0
+        m = sweep(losses, positive, thresholds=[np.inf])
+        assert m.fp[0] == 0 and m.tp[0] == 0
 
-    def test_matches_sweep_counts(self):
-        rng = np.random.default_rng(8)
-        losses = rng.uniform(0, 1, 50)
-        positive = rng.uniform(size=50) < 0.4
-        tau = 0.3
-        sw = sweep(losses, positive, thresholds=np.array([tau]))
-        m = confusion_at(losses, positive, tau)
-        assert m[1, 1] == sw.tp[0] and m[0, 1] == sw.fp[0]
-        assert m[0, 0] == sw.tn[0] and m[1, 0] == sw.fn[0]
+    def test_nan_loss_is_flagged(self):
+        # NaN sorts last, above every threshold
+        losses = np.array([0.001, np.nan, 0.5, 0.6])
+        positive = np.array([False, False, True, True])
+        m = sweep(losses, positive, thresholds=[0.01, np.inf])
+        assert list(m.fp) == [1, 1] and list(m.tn) == [1, 1]
 
 
 def class_means(tmp_path, losses, labels):

@@ -28,8 +28,8 @@ from qsep.separator import (
 from qsep import separator
 from qsep.states import haar_random_pure, ket_to_dm, random_mixed_product
 from qsep.training import TrainConfig, _Adam
-from checkpoints import (OLD_CHECKPOINTS, V3_TAMPERS, encode_array, old_checkpoint,
-                         split_v3, tampered_v3, v2_payload)
+from checkpoints import (OLD_CHECKPOINTS, OLD_TAMPERS, V3_TAMPERS, encode_array,
+                         old_checkpoint, split_v3, tampered_old, tampered_v3, v2_payload)
 from test_gradient import CONFIGS, make_batch
 
 
@@ -513,6 +513,15 @@ class TestInit:
         assert np.abs(got - want).max() <= 1e-12
         assert want.real.min() < -1.5 and want.imag.min() < -1.5
 
+    def test_tanh_starts_near_the_partial_trace(self):
+        # no bias shift for tanh: tanh(z + 2) saturates, tanh(z) ~ z
+        cfg = SeparatorConfig(n_k=8, fc_depth=4, activation="tanh")
+        params = init_params(cfg, np.random.default_rng(27), noise=0.0)
+        rng = np.random.default_rng(28)
+        rhos = np.stack([random_dm(rng) for _ in range(20)])
+        losses, _, _ = forward_batch(rhos, params, cfg)
+        assert losses.mean() <= 3.0 * baseline_losses(rhos).mean()
+
     def test_tied_init_is_pair_swap_symmetric(self):
         cfg = SeparatorConfig()
         rng = np.random.default_rng(24)
@@ -664,6 +673,14 @@ class TestCheckpoint:
             fc["biases"]["f8"] = encode_array(params.fc_b[:, :1])["f8"]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload) + suffix)
+        with pytest.raises(DataFormatError, match="checkpoint"):
+            load_checkpoint(str(bad))
+
+    @pytest.mark.parametrize("tamper", OLD_TAMPERS)
+    def test_misplaced_weights_rejected(self, tmp_path, tamper):
+        # every array's count is checked, not only the total
+        bad = tmp_path / "bad.json"
+        bad.write_text(tampered_old(tamper))
         with pytest.raises(DataFormatError, match="checkpoint"):
             load_checkpoint(str(bad))
 
