@@ -5,10 +5,12 @@ declares each subcommand's settings as argparse options; the parser is built
 from it and converts and checks every setting, whether it comes from a flag or
 from a config file (--config, JSON object keyed by setting name). `main` turns
 the command's config values into flags put ahead of the user's, so a flag
-beats its config value and a setting set by neither takes its default. Every
-run except verify writes a manifest JSON echoing the parsed settings. Exit
-codes: 0 success, 2 usage error, 3 data format error, 4 training divergence,
-5 a dataset generator hit its rejection-sampling cap.
+beats its config value and a setting set by neither takes its default. A
+handler returns its manifest extras (None for verify) and its success line;
+`main` writes `<out or out_prefix>.manifest.json` (settings, command, extras)
+after every other output, then prints the line. Exit codes: 0 success, 2 usage
+error, 3 data format error, 4 training divergence, 5 a dataset generator hit
+its rejection-sampling cap.
 """
 from __future__ import annotations
 
@@ -64,27 +66,18 @@ def _config_flags(command: str, path: str) -> list[str]:
     return tokens
 
 
-def _write_manifest(path: str, resolved: dict) -> None:
-    with atomic_write(path) as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+# --- handlers: parsed settings in, (manifest extras or None, success line) out
 
 
-# --- handlers: each takes the parsed settings ----------------------------------
-
-
-def cmd_gen(r: dict) -> int:
+def cmd_gen(r: dict) -> tuple[dict, str]:
     ds = training.build_dataset(r["kind"], r["count"], r["seed"])
     training.save_qsd(r["out"], ds)
     if r["csv"]:
         training.save_qsd_csv(r["out"] + ".csv", ds)
-    manifest = dict(r, command="gen", records=len(ds), meta=ds.meta)
-    _write_manifest(r["out"] + ".manifest.json", manifest)
-    print(f"wrote {len(ds)} records to {r['out']}")
-    return 0
+    return {"records": len(ds), "meta": ds.meta}, f"wrote {len(ds)} records to {r['out']}"
 
 
-def cmd_train(r: dict) -> int:
+def cmd_train(r: dict) -> tuple[dict, str]:
     # both configs check their settings before any data is read
     sep_cfg = SeparatorConfig(
         n_k=r["nk"],
@@ -114,23 +107,15 @@ def cmd_train(r: dict) -> int:
         fh.write(f"0,nan,{report.val_loss_init:.17g}\n")
         for e, (tl, vl) in enumerate(zip(report.train_losses, report.val_losses), start=1):
             fh.write(f"{e},{tl:.17g},{vl:.17g}\n")
-    manifest = dict(
-        r,
-        command="train",
-        separator=asdict(sep_cfg),
-        best_epoch=report.best_epoch,
-        best_val_loss=report.best_val_loss,
-        checkpoint_sha=sha,
-    )
-    _write_manifest(r["out"] + ".manifest.json", manifest)
-    print(
+    extras = {"separator": asdict(sep_cfg), "best_epoch": report.best_epoch,
+              "best_val_loss": report.best_val_loss, "checkpoint_sha": sha}
+    return extras, (
         f"trained {r['epochs']} epochs; best epoch {report.best_epoch}"
         f" (val loss {report.best_val_loss:.6g}); checkpoint {r['out']}"
     )
-    return 0
 
 
-def cmd_eval(r: dict) -> int:
+def cmd_eval(r: dict) -> tuple[dict, str]:
     baseline = r["model"] == "baseline"
     if baseline and r["ckpt"]:
         raise ValueError("--ckpt cannot be used with --model baseline")
@@ -150,7 +135,8 @@ def cmd_eval(r: dict) -> int:
     prefix, seed = r["out_prefix"], r["seed"]
     evaluation.write_sweep_csv(f"{prefix}.sweep.csv", result, seed, sha)
     evaluation.write_class_means_csv(f"{prefix}.means.csv", losses, ds.labels, seed, sha)
-    summary = {
+    extras = {
+        "checkpoint_sha": sha,
         "best_threshold": result.best_threshold,
         "best_balanced_accuracy": result.best_balanced_accuracy,
     }
@@ -158,17 +144,14 @@ def cmd_eval(r: dict) -> int:
         at_tau = evaluation.sweep(losses, positive, [r["tau"]])
         conf = [[int(at_tau.tn[0]), int(at_tau.fp[0])], [int(at_tau.fn[0]), int(at_tau.tp[0])]]
         evaluation.write_confusion_csv(f"{prefix}.confusion.csv", conf, seed, sha)
-        summary.update(tau=r["tau"], confusion=conf)
-    manifest = dict(r, command="eval", checkpoint_sha=sha, **summary)
-    _write_manifest(f"{prefix}.manifest.json", manifest)
-    print(
+        extras.update(tau=r["tau"], confusion=conf)
+    return extras, (
         f"label={r['label']} model={r['model']}: best BA"
         f" {result.best_balanced_accuracy:.4f} at tau {result.best_threshold:.4g}"
     )
-    return 0
 
 
-def cmd_map(r: dict) -> int:
+def cmd_map(r: dict) -> tuple[dict, str]:
     params, sep_cfg, _ = load_checkpoint(r["ckpt"])
     sha = checkpoint_sha(r["ckpt"])
     render = evaluation.render_map(
@@ -179,27 +162,23 @@ def cmd_map(r: dict) -> int:
     evaluation.write_map_pgm(f"{prefix}.model.pgm", render.losses, seed, sha)
     evaluation.write_map_csv(f"{prefix}.baseline.csv", render, render.baseline, seed, "baseline")
     evaluation.write_map_pgm(f"{prefix}.baseline.pgm", render.baseline, seed, "baseline")
-    _write_manifest(f"{prefix}.manifest.json", dict(r, command="map", checkpoint_sha=sha))
-    print(f"rendered {r['grid']}x{r['grid']} map to {prefix}.model.csv / .pgm (+ baseline)")
-    return 0
+    return {"checkpoint_sha": sha}, (
+        f"rendered {r['grid']}x{r['grid']} map to {prefix}.model.csv / .pgm (+ baseline)"
+    )
 
 
-def cmd_kernels(r: dict) -> int:
+def cmd_kernels(r: dict) -> tuple[dict, str]:
     params, _, _ = load_checkpoint(r["ckpt"])
     export_kernels_csv(r["out"], params)
-    manifest = dict(r, command="kernels", checkpoint_sha=checkpoint_sha(r["ckpt"]))
-    _write_manifest(r["out"] + ".manifest.json", manifest)
-    print(f"wrote kernels to {r['out']}")
-    return 0
+    return {"checkpoint_sha": checkpoint_sha(r["ckpt"])}, f"wrote kernels to {r['out']}"
 
 
-def cmd_verify(r: dict) -> int:
+def cmd_verify(r: dict) -> tuple[None, str]:
     ds = training.load_qsd(r["data"])
     training.verify_labels(ds, fraction=r["fraction"], seed=r["seed"])
     counts = np.bincount(ds.klasses(), minlength=len(STATE_CLASSES))
     breakdown = ", ".join(f"{k.value}={c}" for k, c in zip(STATE_CLASSES, counts))
-    print(f"{r['data']}: {len(ds)} records verified ({breakdown})")
-    return 0
+    return None, f"{r['data']}: {len(ds)} records verified ({breakdown})"
 
 
 # --- the settings table: argparse runs each `type` on every value, flag or config
@@ -342,7 +321,15 @@ def main(argv: list[str] | None = None) -> int:
             argv = argv[:1] + _config_flags(argv[0], config) + argv[1:]
         settings = vars(build_parser().parse_args(argv))
         del settings["config"]
-        return COMMANDS[settings.pop("command")][1](settings)
+        command = settings.pop("command")
+        extras, message = COMMANDS[command][1](settings)
+        if extras is not None:
+            out = settings["out"] if "out" in settings else settings["out_prefix"]
+            with atomic_write(out + ".manifest.json") as fh:
+                json.dump(dict(settings, command=command, **extras), fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        print(message)
+        return 0
     except DataFormatError as exc:
         print(f"data format error: {exc}", file=sys.stderr)
         return 3

@@ -49,12 +49,9 @@ def _spans(n: int, chunk: int) -> list[tuple[int, int]]:
 
 
 def _run_tasks(tasks: list, threads: int) -> list:
-    """Results of the zero-argument `tasks`, in task order. With threads > 1
-    they run on one pool of that many workers, which takes them in order;
-    otherwise one after another, in order."""
-    if threads <= 1 or len(tasks) <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    """Results of the zero-argument `tasks`, in task order, from one pool of
+    max(1, threads) workers, which takes them in order."""
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
         return list(pool.map(lambda task: task(), tasks))
 
 
@@ -80,7 +77,8 @@ def eval_losses(
     most 8e-15 at n_k=48 and the default init between chunks 1 and 512). So
     does the forward-only pass itself, which folds the encoder into the first
     FC layer (`separator.forward_batch`): its losses are within 1e-12 absolute
-    of the unfolded pass `gradient` runs."""
+    of the unfolded pass `gradient` runs on the weights the tests use, and the
+    gap grows as the decoder's trace shrinks."""
     tasks = [partial(_model_losses, mats[lo:hi], params, config)
              for lo, hi in _spans(len(mats), chunk)]
     parts = _run_tasks(tasks, threads)
@@ -264,8 +262,8 @@ def render_map(
     the call, so the span bounds change no state, and the thread count never
     changes a bit. The baseline and the labels do not depend on the chunk
     either; the model losses can move in their last bits with it and come
-    from the folded forward-only pass, within 1e-12 of the unfolded one, as
-    in `eval_losses`. Raises ValueError when grid is below MIN_GRID.
+    from the folded forward-only pass, whose gap to the unfolded one is
+    bounded as in `eval_losses`. Raises ValueError when grid is below MIN_GRID.
     """
     if grid < MIN_GRID:
         raise ValueError(f"grid must be >= {MIN_GRID}")

@@ -25,10 +25,11 @@ batch, one (w, 3 B) matrix through the shared FC stack, and untied paths are
 three stacked products. A forward-only pass needs no encoder output for a
 gradient, so it folds the encoder into the first FC layer: one product M x^T,
 M (3 w, 128) built through the same table. The two forms only round
-differently: losses, outputs and factors agree to a few 1e-15 of their size,
-within 1e-12 absolute on the initial and trained weights the tests use (a
-decoder trace near zero scales up any rounding change). The decoder forms its
-products with the batch axis last and sums the channels in channel order.
+differently: losses, outputs and factors agree within 1e-12 absolute on the
+initial and trained weights the tests use, and the gap grows as the decoder's
+trace shrinks (init noise 0.3, traces down to 0.045: 1.7e-8 absolute, 1.5e-11
+of the loss). The decoder forms its products with the batch axis last and sums
+the channels in channel order.
 
 All gradients are derived by hand; finite differences are the test oracle,
 not part of this module.
@@ -350,9 +351,10 @@ def forward_batch(
     The encoder is `_encode`, or, without want_cache and with FC layers, its
     fold into the first layer (`_folded_encoder`), which changes rounding
     only: losses, rho_hat and factors agree with the want_cache pass that
-    `gradient` runs to 1e-12 absolute. Activations are feature-major, (paths,
-    w, 3 B / paths): tied paths are one (w, 3 B) batch through the shared FC
-    stack, untied paths three stacked products (`_paths_view`). Without
+    `gradient` runs to 1e-12 absolute on the weights the tests use, and less
+    closely as the decoder's trace shrinks. Activations are feature-major,
+    (paths, w, 3 B / paths): tied paths are one (w, 3 B) batch through the
+    shared FC stack, untied paths three stacked products (`_paths_view`). Without
     want_cache only the current layer's activation is kept, and it is freed
     before the decoder, which forms each channel's factor_A (x) factor_B in
     one reused buffer (`_decode`), so no (n_k, 4, 4, B) stack is made.
@@ -537,7 +539,8 @@ def load_checkpoint(path: str) -> tuple[SeparatorParams, SeparatorConfig, dict]:
     JSON header, and the arrays' bytes follow it. All go through one byte
     reader, `_read_arrays`. Raises DataFormatError (exit 3) unless the first
     line is a JSON object of a known version, the config is valid, the shapes
-    match it, the bytes (per array in v2) fill them exactly and are finite.
+    match it, every v1 weight is a JSON number (not a string or a boolean), and
+    the bytes (per array in v2) fill them exactly and are finite.
     """
     from .errors import DataFormatError
 
@@ -561,7 +564,12 @@ def load_checkpoint(path: str) -> tuple[SeparatorParams, SeparatorConfig, dict]:
             if version != CHECKPOINT_VERSION and fh.read().strip():
                 raise ValueError("data after the JSON object")
             if version == 1:  # nested lists, whose nesting gives the shapes
+                lists = entries
                 entries = {name: np.asarray(e, dtype="<f8") for name, e in entries.items()}
+                # asarray also takes "0.98" and true; a weight must be a JSON number
+                leaves = (x for e in lists.values() for x in np.asarray(e, dtype=object).flat)
+                if not all(type(x) in (int, float) for x in leaves):
+                    raise ValueError("a version-1 weight is not a JSON number")
                 raw = [a.tobytes() for a in entries.values()]
             shapes = [e.shape if version == 1 else tuple(e["shape"]) for e in entries.values()]
             _check_shapes(dict(zip(entries, shapes)), config)
@@ -572,7 +580,7 @@ def load_checkpoint(path: str) -> tuple[SeparatorParams, SeparatorConfig, dict]:
                     raise ValueError("an array's bytes do not fill its float64 shape")
             stream = fh if version == CHECKPOINT_VERSION else io.BytesIO(b"".join(raw))
             arrays = _read_arrays(stream, config)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataFormatError(f"checkpoint {path} is malformed: {exc}") from exc
     params = SeparatorParams(**arrays)
     if not all(np.isfinite(a).all() for a in params.arrays()):

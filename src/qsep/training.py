@@ -174,9 +174,10 @@ def save_qsd(path: str, ds: Dataset) -> None:
 
 def load_qsd(path: str) -> Dataset:
     """Read a QSD1 file. Raises DataFormatError (exit 3), naming the byte
-    offset, on a bad header or body length, on a label that does not
-    round-trip through the codec, and on a record whose matrix is not finite,
-    Hermitian and of unit trace (`linalg.check_density_matrix`)."""
+    offset, on a bad header or body length, on a label whose bits 0-11,
+    decoded and packed again, do not give it back (a reserved bit 12-15 set,
+    or bits 1-2 that disagree with bits 3-11), and on a record whose matrix
+    is not finite, Hermitian and of unit trace (`check_density_matrix`)."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size:
@@ -200,12 +201,11 @@ def load_qsd(path: str) -> Dataset:
         )
     rec = np.frombuffer(raw, dtype=_RECORD_DTYPE, offset=_HEADER.size)
     labels = rec["label"].astype(np.uint16)
-    bad, what = np.flatnonzero(labels > VALID_LABEL_MASK), "has reserved bits"
-    if not len(bad):
-        bad = np.flatnonzero(pack_labels(unpack_labels(labels)) != labels)
-        what = "does not round-trip: its bits 1-2 disagree with bits 3-11"
+    bad = np.flatnonzero(pack_labels(unpack_labels(labels & VALID_LABEL_MASK)) != labels)
     if len(bad):
         i = int(bad[0])
+        what = ("has reserved bits" if labels[i] > VALID_LABEL_MASK
+                else "does not round-trip: its bits 1-2 disagree with bits 3-11")
         off = _HEADER.size + i * _RECORD_DTYPE.itemsize + 128 * 8
         raise DataFormatError(
             f"{path}: record {i} label {labels[i]:#06x} {what} (byte offset {off})"
@@ -420,11 +420,6 @@ def subset_mask(ds: Dataset, subset: str) -> np.ndarray:
     return ~labels.is_product  # NPS
 
 
-def subset_filter(ds: Dataset, subset: str) -> Dataset:
-    m = subset_mask(ds, subset)
-    return Dataset(mats=ds.mats[m], labels=ds.labels[m], meta=dict(ds.meta, subset=subset))
-
-
 def verify_labels(ds: Dataset, fraction: float = VERIFY_FRACTION, seed: int = 0) -> None:
     """Re-derive labels for a sample; raise DataFormatError on any mismatch.
 
@@ -571,14 +566,14 @@ def train(
 ) -> TrainReport:
     """Unsupervised training with best-validation checkpointing.
 
-    The subset filter applies to both the training and validation sets so
+    The subset applies to both the training and validation sets so
     epoch selection stays in-regime. Deterministic for a fixed seed. Raises
     TrainingDivergedError as soon as a loss or parameter goes non-finite.
     """
     rng = np.random.default_rng(cfg.seed)
     params = init_params(sep_cfg, rng, noise=cfg.init_noise)
-    train_mats = subset_filter(train_ds, cfg.subset).mats
-    val_mats = subset_filter(val_ds, cfg.subset).mats
+    train_mats = train_ds.mats[subset_mask(train_ds, cfg.subset)]
+    val_mats = val_ds.mats[subset_mask(val_ds, cfg.subset)]
     if len(train_mats) == 0 or len(val_mats) == 0:
         raise ValueError(f"subset {cfg.subset!r} leaves an empty train or val set")
     opt_cls = _Adam if cfg.optimizer == "adam" else _Sgd

@@ -63,11 +63,18 @@ def v2_payload(params, config, training_meta=None) -> dict:
 # weights are 8 bytes long, and a v1 file with one kernel row of five entries
 # and one of three
 OLD_TAMPERS = ["v2_bytes_shifted", "v1_ragged"]
+# version-1 files whose first kernel weight is not a JSON number (a numeric
+# string, a boolean), or is an integer too large for a float64
+V1_LEAF_TAMPERS = {"v1_string_weight": "0.98", "v1_bool_weight": True, "v1_huge_int": 10**400}
 
 
 def tampered_old(tamper: str) -> str:
-    """The text of the `untied_nk2` checkpoint with one `OLD_TAMPERS` fault."""
-    if tamper == "v2_bytes_shifted":
+    """The text of the `untied_nk2` checkpoint with one `OLD_TAMPERS` or
+    `V1_LEAF_TAMPERS` fault."""
+    if tamper in V1_LEAF_TAMPERS:
+        payload = json.loads(old_checkpoint("untied_nk2", 1).read_text())
+        payload["kernels"][0][0][0][0][0] = V1_LEAF_TAMPERS[tamper]
+    elif tamper == "v2_bytes_shifted":
         payload = json.loads(old_checkpoint("untied_nk2", 2).read_text())
         kernels, weights = payload["kernels"], payload["fc"]["weights"]
         k, w = (base64.b64decode(e["f8"]) for e in (kernels, weights))

@@ -13,8 +13,8 @@ from qsep import cli, states, training
 from qsep.cli import main, usable_cpus
 from qsep.separator import SeparatorConfig, load_checkpoint, save_checkpoint
 from qsep.training import TrainConfig, build_dataset, load_qsd
-from checkpoints import (OLD_CHECKPOINTS, OLD_TAMPERS, V3_TAMPERS, encode_array,
-                         old_checkpoint, tampered_old, tampered_v3, v2_payload)
+from checkpoints import (OLD_CHECKPOINTS, OLD_TAMPERS, V1_LEAF_TAMPERS, V3_TAMPERS,
+                         encode_array, old_checkpoint, tampered_old, tampered_v3, v2_payload)
 
 
 def run(*argv):
@@ -518,7 +518,7 @@ class TestCheckpointFiles:
         assert "checkpoint" in err and "Traceback" not in err
         assert sorted(os.listdir(tmp_path)) == sorted(["bad.ckpt", f"ok_{tamper}.ckpt"])
 
-    @pytest.mark.parametrize("tamper", OLD_TAMPERS)
+    @pytest.mark.parametrize("tamper", OLD_TAMPERS + list(V1_LEAF_TAMPERS))
     @pytest.mark.parametrize("command", ["eval", "map", "kernels"])
     def test_malformed_old_exit_3(self, tmp_path, mixed_qsd, command, tamper, capsys):
         bad = tmp_path / "bad.json"
@@ -807,3 +807,30 @@ class TestSettingsContract:
         before = Path(path).read_bytes()
         fails_to_write()
         assert Path(path).read_bytes() == before
+
+    @pytest.mark.parametrize("command", ["gen", "train", "eval", "map", "kernels"])
+    def test_failed_manifest_write_prints_no_success_line(self, command, command_argv,
+                                                          monkeypatch, capsys):
+        # the manifest is the last output: its failure is the command's failure
+        argv, manifest = command_argv(command)
+        real_open = open
+
+        def failing_open(file, *args, **kwargs):
+            fh = real_open(file, *args, **kwargs)
+            return DiskFull(fh) if file == manifest + ".tmp" else fh
+
+        capsys.readouterr()
+        monkeypatch.setattr("builtins.open", failing_open)
+        with pytest.raises(OSError, match="disk full"):
+            run(command, *argv)
+        monkeypatch.undo()
+        assert capsys.readouterr().out == ""
+        assert not os.path.exists(manifest) and not os.path.exists(manifest + ".tmp")
+
+    def test_verify_writes_no_manifest(self, tmp_path, product_qsd, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        data_dir = os.path.dirname(product_qsd)
+        before = set(os.listdir(data_dir))
+        assert run("verify", "--data", product_qsd, "--fraction", "0.1") == 0
+        assert set(os.listdir(data_dir)) == before
+        assert os.listdir(tmp_path) == []

@@ -27,9 +27,10 @@ from qsep.separator import (
 )
 from qsep import separator
 from qsep.states import haar_random_pure, ket_to_dm, random_mixed_product
-from qsep.training import TrainConfig, _Adam
-from checkpoints import (OLD_CHECKPOINTS, OLD_TAMPERS, V3_TAMPERS, encode_array,
-                         old_checkpoint, split_v3, tampered_old, tampered_v3, v2_payload)
+from qsep.training import TrainConfig, _Adam, build_dataset
+from checkpoints import (OLD_CHECKPOINTS, OLD_TAMPERS, V1_LEAF_TAMPERS, V3_TAMPERS,
+                         encode_array, old_checkpoint, split_v3, tampered_old, tampered_v3,
+                         v2_payload)
 from test_gradient import CONFIGS, make_batch
 
 
@@ -684,6 +685,14 @@ class TestCheckpoint:
         with pytest.raises(DataFormatError, match="checkpoint"):
             load_checkpoint(str(bad))
 
+    @pytest.mark.parametrize("tamper", V1_LEAF_TAMPERS)
+    def test_v1_weight_must_be_a_json_number(self, tmp_path, tamper):
+        # numpy would read "0.98" as 0.98 and true as 1.0
+        bad = tmp_path / "bad.json"
+        bad.write_text(tampered_old(tamper))
+        with pytest.raises(DataFormatError, match="checkpoint .* is malformed"):
+            load_checkpoint(str(bad))
+
     @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize("name", sorted(OLD_CHECKPOINTS))
     def test_old_checkpoint_loads_bit_for_bit(self, name, version):
@@ -877,6 +886,20 @@ class TestFoldedForward:
             cached = forward_batch(batch, params, cfg, want_cache=True)[:3]
             for got, want in zip(folded, cached):
                 assert np.abs(got - want).max() <= 1e-12, (b, np.abs(got - want).max())
+
+    @pytest.mark.parametrize("tie", [True, False])
+    def test_small_decoder_traces_bound_relative(self, tie):
+        # init noise 0.3 gives decoder traces down to ~0.045 and losses up to
+        # ~1e3: there the gap reaches 1.7e-8 absolute, past the 1e-12 bound
+        # above, but stays a rounding change of the loss (at most 1.5e-11 seen)
+        mats = build_dataset("s-mixed", 600, 5).mats
+        cfg = SeparatorConfig(n_k=8, fc_depth=4, activation="relu", tie_weights=tie)
+        for seed in range(6):
+            params = init_params(cfg, np.random.default_rng(seed), noise=0.3)
+            folded = forward_batch(mats, params, cfg)[0]
+            cached = forward_batch(mats, params, cfg, want_cache=True)[0]
+            gap = np.abs(folded - cached)
+            assert np.all(gap <= 1e-9 * cached), (seed, (gap / cached).max())
 
     @pytest.mark.parametrize("n_k", [1, 3, 48])
     @pytest.mark.parametrize("tie", [True, False])

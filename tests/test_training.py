@@ -30,7 +30,6 @@ from qsep.training import (
     pack_labels,
     save_qsd,
     save_qsd_csv,
-    subset_filter,
     subset_mask,
     train,
     unpack_labels,
@@ -144,6 +143,19 @@ class TestQsdFormat:
         with pytest.raises(DataFormatError, match=rf"record {i}.*byte offset {off}"):
             load_qsd(p)
 
+    def test_one_reserved_bit_on_a_valid_label_refused(self, tmp_path, small_val):
+        # bits 0-11 round-trip here, so only the reserved bit 12 can fail the label
+        p = str(tmp_path / "a.qsd")
+        i = 5
+        labels = small_val.labels.copy()
+        labels[i] |= 0x1000
+        save_qsd(p, Dataset(mats=small_val.mats, labels=labels))
+        off = 13 + i * 1026 + 1024
+        with pytest.raises(DataFormatError,
+                           match=rf"record {i} label {labels[i]:#06x} has reserved bits"
+                                 rf" \(byte offset {off}\)"):
+            load_qsd(p)
+
     @pytest.mark.parametrize("fault, what", [
         ("nan", "is not finite"), ("non_hermitian", "is not Hermitian"), ("trace", "has trace 1.5"),
     ])
@@ -251,14 +263,14 @@ class TestBuilders:
     def test_subset_filters(self, small_train):
         n = len(small_train)
         assert subset_mask(small_train, "Sep").sum() == n
-        pure = subset_filter(small_train, "Pure")
-        assert np.all(pure.purities() >= 1.0 - 1e-8)
-        prod = subset_filter(small_train, "Prod")
-        assert np.all(prod.labels & BIT_PRODUCT)
-        zd = subset_filter(small_train, "ZD")
-        assert np.all(zd.labels & BIT_ZERO_DISCORD)
-        nps = subset_filter(small_train, "NPS")
-        assert not np.any(nps.labels & BIT_PRODUCT)
+        pure = subset_mask(small_train, "Pure")
+        assert np.all(small_train.purities()[pure] >= 1.0 - 1e-8)
+        prod = small_train.labels[subset_mask(small_train, "Prod")]
+        assert np.all(prod & BIT_PRODUCT)
+        zd = small_train.labels[subset_mask(small_train, "ZD")]
+        assert np.all(zd & BIT_ZERO_DISCORD)
+        nps = small_train.labels[subset_mask(small_train, "NPS")]
+        assert not np.any(nps & BIT_PRODUCT)
         with pytest.raises(ValueError):
             subset_mask(small_train, "Bogus")
 
@@ -521,13 +533,26 @@ class TestTrainLoop:
         assert peak <= 6.5 * unit, f"peak {peak / unit:.2f} parameter sets"
 
     def test_empty_subset_rejected(self, small_val):
-        ent_free = subset_filter(small_val, "Prod")
+        prod = subset_mask(small_val, "Prod")
         cfg = TrainConfig(epochs=1, subset="NPS")
-        pure_prod = Dataset(
-            mats=ent_free.mats, labels=ent_free.labels, meta=dict(ent_free.meta)
-        )
+        products = Dataset(mats=small_val.mats[prod], labels=small_val.labels[prod])
         with pytest.raises(ValueError):
-            train(cfg, SeparatorConfig(n_k=4), pure_prod, pure_prod)
+            train(cfg, SeparatorConfig(n_k=4), products, products)
+
+    def test_subset_trains_on_the_masked_records(self, small_train, small_val):
+        # training on subset ZD is training on the ZD records with subset Sep
+        scfg = SeparatorConfig(n_k=4)
+        zd = []
+        for ds in (small_train, small_val):
+            m = subset_mask(ds, "ZD")
+            zd.append(Dataset(mats=ds.mats[m], labels=ds.labels[m]))
+        got = train(TrainConfig(epochs=2, batch_size=32, subset="ZD"), scfg,
+                    small_train, small_val)
+        want = train(TrainConfig(epochs=2, batch_size=32, subset="Sep"), scfg, *zd)
+        assert got.train_losses == want.train_losses
+        assert got.val_losses == want.val_losses
+        for a, b in zip(got.params.arrays(), want.params.arrays()):
+            assert np.array_equal(a, b)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts(self, small_val):
