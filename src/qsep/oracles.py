@@ -9,8 +9,10 @@ Classes form the chain Product < NonDiscordant < Separable.
 
 Each criterion exists once, in array form over a stack (N, 8, 8):
 `negativities`, `zero_discord_flags` and `product_flags`; `label_states`
-combines them into `StateLabels`, the one label form. The per-state
-functions `negativity` and `classify` are stacks of one.
+combines them into `StateLabels`, the one label form, whose properties are
+the only code that turns flags into the entangled and discordant answers
+and the class. The per-state functions `negativity` and `classify` are
+stacks of one.
 
 The commutators of the 2x2 blocks (the single qubit measured) are taken in
 closed form: for B = [[a, b], [c, d]] and delta = a - d, [B_i, B_j] is
@@ -21,7 +23,7 @@ through one block product.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,7 +40,7 @@ LABEL_CHUNK = 512  # states per pass of label_states; bounds the commutator tens
 
 
 class StateClass(enum.Enum):
-    """The four classes; their order is the class code (0..3) of `class_code`."""
+    """The four classes; their order is the class code (0..3) of `StateLabels.klass`."""
 
     PRODUCT = "Product"
     NON_DISCORDANT = "NonDiscordant"
@@ -49,28 +51,38 @@ class StateClass(enum.Enum):
 STATE_CLASSES = tuple(StateClass)
 
 
-def class_code(entangled, product, discordant):
-    """Integer codes, indices into STATE_CLASSES, of bool arrays of one shape
-    (one entry per state): any entangled cut gives Entangled, else a product
-    gives Product, else any discordant check gives DiscordantSeparable, else
-    NonDiscordant."""
-    return 3 * entangled + (1 - entangled) * (1 - product) * (1 + discordant)
-
-
 @dataclass
 class StateLabels:
-    """Labels of a stack of N states, one row per state."""
+    """Labels of a stack of N states, one row per state: the stored flags, and
+    the only code that derives answers from them (the properties)."""
 
     negativity: np.ndarray  # (N, 3) per cut; NaN where not computed (known separable)
     entangled_cut: np.ndarray  # (N, 3) bool
     discordant_check: np.ndarray  # (N, 6) bool, in CHECKS order
     is_product: np.ndarray  # (N,) bool
-    klass: np.ndarray  # (N,) int8 class codes, indices into STATE_CLASSES
 
-    def assuming_separable(self, known_separable) -> StateLabels:
-        """The same labels with the entanglement flags of the `known_separable`
-        states forced to false, as if they had been passed to `label_states` so."""
-        return _labels(self.negativity, self.discordant_check, self.is_product, known_separable)
+    @property
+    def entangled(self) -> np.ndarray:
+        """(N,) bool: some cut is entangled."""
+        return self.entangled_cut.any(axis=1)
+
+    @property
+    def discordant(self) -> np.ndarray:
+        """(N,) bool: some discord check finds discord."""
+        return self.discordant_check.any(axis=1)
+
+    @property
+    def klass(self) -> np.ndarray:
+        """(N,) int8 class codes, indices into STATE_CLASSES: Entangled if
+        entangled, else Product if a product, else DiscordantSeparable if
+        discordant, else NonDiscordant."""
+        ent = self.entangled
+        return (3 * ent + (1 - ent) * (1 - self.is_product) * (1 + self.discordant)).astype(np.int8)
+
+    def assuming_separable(self, known_separable: np.ndarray) -> StateLabels:
+        """The same labels with the entanglement flags of the states in the
+        (N,) mask `known_separable` forced to false."""
+        return replace(self, entangled_cut=self.entangled_cut & ~known_separable[:, None])
 
 
 def negativities(rhos: np.ndarray, cuts=CUTS) -> np.ndarray:
@@ -170,15 +182,6 @@ def product_flags(rhos: np.ndarray) -> np.ndarray:
     return _max_abs(rhos - k) <= PRODUCT_TOL
 
 
-def _labels(neg, disc, prod, known_separable) -> StateLabels:
-    known = np.broadcast_to(np.asarray(known_separable, dtype=bool), prod.shape)
-    ent = (neg > NEGATIVITY_TOL) & ~known[:, None]
-    klass = class_code(ent.any(axis=1), prod, disc.any(axis=1)).astype(np.int8)
-    return StateLabels(
-        negativity=neg, entangled_cut=ent, discordant_check=disc, is_product=prod, klass=klass
-    )
-
-
 def label_states(rhos: np.ndarray, known_separable=False) -> StateLabels:
     """Full labels of a stack (N, 8, 8): per-cut negativity and entanglement
     flags, six discord checks, product test and class, LABEL_CHUNK states per
@@ -203,7 +206,9 @@ def label_states(rhos: np.ndarray, known_separable=False) -> StateLabels:
             neg[lo + todo] = negativities(part[todo])
         disc[lo:hi] = ~zero_discord_flags(part)
         prod[lo:hi] = product_flags(part)
-    return _labels(neg, disc, prod, known)
+    # NaN, the negativity of a known separable state, compares false
+    return StateLabels(negativity=neg, entangled_cut=neg > NEGATIVITY_TOL,
+                       discordant_check=disc, is_product=prod)
 
 
 def negativity(rho: np.ndarray, cut: int) -> float:

@@ -27,7 +27,6 @@ from .oracles import (  # noqa: F401
     STATE_CLASSES,
     StateClass,
     StateLabels,
-    class_code,
     classify,
     label_states,
     negativities,
@@ -57,9 +56,6 @@ DISC_SHIFT = 6  # bits 6..11: discord per (cut, measured side)
 VALID_LABEL_MASK = (1 << 12) - 1
 _ENT_BITS = 1 << (ENT_SHIFT + np.arange(3, dtype=np.uint16))
 _DISC_BITS = 1 << (DISC_SHIFT + np.arange(6, dtype=np.uint16))
-
-FULL_TRAIN = 530_000
-FULL_VAL = 50_000
 
 # Training mix per 530 records; `mixed-sep` is its mixed part.
 _TRAIN_MIX = (
@@ -102,13 +98,12 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 def pack_labels(labels: StateLabels) -> np.ndarray:
     """(N,) uint16 bitfields of a stack of labels."""
-    ent, disc = labels.entangled_cut, labels.discordant_check
     bits = (
         labels.is_product * BIT_PRODUCT
-        | ~ent.any(axis=1) * BIT_SEPARABLE
-        | ~disc.any(axis=1) * BIT_ZERO_DISCORD
-        | ent @ _ENT_BITS
-        | disc @ _DISC_BITS
+        | ~labels.entangled * BIT_SEPARABLE
+        | ~labels.discordant * BIT_ZERO_DISCORD
+        | labels.entangled_cut @ _ENT_BITS
+        | labels.discordant_check @ _DISC_BITS
     )
     return bits.astype(np.uint16)
 
@@ -119,7 +114,7 @@ def pack_label(labels: StateLabels) -> int:
 
 
 def unpack_labels(bits: np.ndarray) -> StateLabels:
-    """Flags and class codes of (N,) bitfields; negativity is not stored (NaN).
+    """The `StateLabels` of (N,) bitfields; negativity is not stored (NaN).
     Raises DataFormatError if a bitfield sets a reserved bit."""
     bits = np.asarray(bits)
     reserved = np.flatnonzero(bits > VALID_LABEL_MASK)
@@ -129,12 +124,10 @@ def unpack_labels(bits: np.ndarray) -> StateLabels:
         )
     # one row per bit, transposed back: reductions over a record's flags stay fast
     ent = ((bits & _ENT_BITS[:, None]) != 0).T
-    disc = ((bits & _DISC_BITS[:, None]) != 0).T
-    prod = (bits & BIT_PRODUCT) != 0
-    klass = class_code(ent.any(axis=1), prod, disc.any(axis=1)).astype(np.int8)
     return StateLabels(
-        negativity=np.full(ent.shape, np.nan), entangled_cut=ent, discordant_check=disc,
-        is_product=prod, klass=klass,
+        negativity=np.full(ent.shape, np.nan), entangled_cut=ent,
+        discordant_check=((bits & _DISC_BITS[:, None]) != 0).T,
+        is_product=(bits & BIT_PRODUCT) != 0,
     )
 
 
@@ -399,12 +392,6 @@ def build_s_mixed(n: int, seed: int) -> Dataset:
     return build_dataset("s-mixed", n, seed)
 
 
-def build_training_sets(scale: float, seed: int) -> tuple[Dataset, Dataset]:
-    train = build_separable_set(round(scale * FULL_TRAIN), seed, kind="train")
-    val = build_separable_set(round(scale * FULL_VAL), seed + 1, kind="val")
-    return train, val
-
-
 def subset_mask(ds: Dataset, subset: str) -> np.ndarray:
     if subset not in SUBSETS:
         raise ValueError(f"subset must be one of {SUBSETS}")
@@ -416,7 +403,7 @@ def subset_mask(ds: Dataset, subset: str) -> np.ndarray:
     if subset == "Prod":
         return labels.is_product
     if subset == "ZD":
-        return ~labels.discordant_check.any(axis=1)
+        return ~labels.discordant
     return ~labels.is_product  # NPS
 
 
@@ -436,7 +423,7 @@ def verify_labels(ds: Dataset, fraction: float = VERIFY_FRACTION, seed: int = 0)
     rng = np.random.default_rng(seed)
     sample = rng.choice(n, size=max(1, round(fraction * n)), replace=False)
     stored = ds.labels[sample]
-    separable = ~unpack_labels(stored).entangled_cut.any(axis=1)
+    separable = ~unpack_labels(stored).entangled
     # nothing trusted here: every negativity is computed for the check below
     labels = label_states(ds.mats[sample])
     recomputed = pack_labels(labels.assuming_separable(separable))

@@ -767,6 +767,23 @@ class TestSettingsContract:
         assert flag in err and "Traceback" not in err
         assert os.listdir(tmp_path) == ["cfg.json"]
 
+    def test_unknown_config_key_exit_2(self, command_argv, tmp_path, capsys):
+        # a misspelt setting must not fall back silently to its default
+        argv, _ = command_argv("train")
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"epoch": 3}))
+        assert run("train", *argv, "--config", str(cfgp)) == 2
+        err = capsys.readouterr().err
+        assert f"config file {cfgp}: no command has a setting 'epoch'" in err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    def test_other_commands_config_keys_ignored(self, command_argv, tmp_path):
+        argv, manifest = command_argv("kernels")
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"grid": 5, "epochs": 0, "kind": "nope"}))
+        assert run("kernels", *argv, "--config", str(cfgp)) == 0
+        assert "grid" not in json.loads(Path(manifest).read_text())
+
     @pytest.mark.parametrize("command,flag", [
         ("gen", "out"), ("train", "out"), ("train", "val"), ("eval", "out-prefix"),
         ("eval", "data"), ("map", "out-prefix"), ("kernels", "out"), ("verify", "data"),

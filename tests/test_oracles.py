@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from classical_states import random_classical_state
@@ -10,6 +12,7 @@ from qsep.oracles import (
     NEGATIVITY_TOL,
     STATE_CLASSES,
     StateClass,
+    StateLabels,
     classify,
     label_states,
     negativities,
@@ -333,6 +336,24 @@ class TestClassify:
                     assert not label.discordant_check.any()
                 if not label.discordant_check.any():
                     assert not label.entangled_cut.any()
+
+    def test_answers_derive_from_the_flags(self):
+        # every (entangled cut, discordant check, product) combination, one per state
+        ent, disc, prod = np.array(list(np.ndindex(2, 2, 2)), dtype=bool).T
+        off = np.zeros(8, dtype=bool)
+        labels = StateLabels(
+            negativity=np.full((8, 3), np.nan),
+            entangled_cut=np.stack([off, ent, off], axis=1),
+            discordant_check=np.stack([off] * 5 + [disc], axis=1),
+            is_product=prod,
+        )
+        assert np.array_equal(labels.entangled, ent)
+        assert np.array_equal(labels.discordant, disc)
+        want = [StateClass.NON_DISCORDANT, StateClass.PRODUCT,
+                StateClass.DISCORDANT_SEPARABLE, StateClass.PRODUCT] + [StateClass.ENTANGLED] * 4
+        assert labels.klass.dtype == np.int8
+        assert [STATE_CLASSES[k] for k in labels.klass] == want
+        assert "klass" not in {f.name for f in dataclasses.fields(StateLabels)}
 
     def test_klass_consistency(self):
         rng = np.random.default_rng(9)

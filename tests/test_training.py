@@ -9,7 +9,7 @@ import pytest
 
 from qsep import states, training
 from qsep.errors import DataFormatError, RejectionLimitError, TrainingDivergedError
-from qsep.oracles import CUTS, StateClass, class_code, classify, label_states, negativity
+from qsep.oracles import CUTS, StateClass, classify, label_states, negativity
 from qsep.separator import SeparatorConfig, load_checkpoint
 from qsep.training import (
     BIT_PRODUCT,
@@ -23,7 +23,6 @@ from qsep.training import (
     build_s_mixed,
     build_s_pure,
     build_separable_set,
-    build_training_sets,
     load_qsd,
     mean_loss,
     pack_label,
@@ -215,11 +214,6 @@ class TestQsdFormat:
 
 
 class TestBuilders:
-    def test_small_scale_sizes(self):
-        tr, va = build_training_sets(0.002, seed=5)
-        assert len(tr) == round(0.002 * 530_000)
-        assert len(va) == round(0.002 * 50_000)
-
     def test_all_separable(self, small_train):
         assert not np.any(small_train.labels >> 3 & 0b111)
         assert np.all(small_train.labels & BIT_SEPARABLE)
@@ -609,7 +603,9 @@ def ref_klasses(bits):
     ent = ((bits >> 3) & 0b111) != 0
     disc = ((bits >> 6) & 0b111111) != 0
     prod = (bits & BIT_PRODUCT) != 0
-    return np.asarray(class_code(ent, prod, disc), dtype=np.int8)
+    # the class chain, first match wins: Entangled, Product, DiscordantSeparable,
+    # else NonDiscordant
+    return np.select([ent, prod, disc], [3, 0, 2], 1).astype(np.int8)
 
 
 def ref_group_masks(bits):
@@ -673,6 +669,16 @@ class TestLabelCodec:
         for field in ("entangled_cut", "discordant_check", "is_product", "klass"):
             assert np.array_equal(getattr(decoded, field), getattr(fresh, field)), field
         assert np.isnan(decoded.negativity).all()
+
+    def test_assuming_separable_keeps_decoded_flags_outside_the_mask(self, every_kind):
+        ds = every_kind["s-mixed"]
+        decoded = unpack_labels(ds.labels)
+        known = np.arange(len(ds)) % 2 == 0
+        assert decoded.entangled_cut[~known].any()
+        later = decoded.assuming_separable(known)
+        assert np.array_equal(later.entangled_cut[~known], decoded.entangled_cut[~known])
+        assert not later.entangled_cut[known].any()
+        assert np.array_equal(later.klass[~known], decoded.klass[~known])
 
     @pytest.mark.parametrize("kind", sorted(PLANS))
     def test_decoders_match_hand_shifted_reference(self, every_kind, kind):
