@@ -36,10 +36,9 @@ not part of this module.
 """
 from __future__ import annotations
 
-import base64
 import hashlib
-import io
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -475,18 +474,23 @@ CHECKPOINT_VERSION = 3
 
 
 def _read_arrays(fh, config: SeparatorConfig) -> dict:
-    """The arrays config implies, in payload order, read from their
-    little-endian float64 bytes in `fh` straight into writable native float64
-    arrays. Raises ValueError unless the bytes fill them and end with the last."""
+    """The arrays config implies, in payload order, read from the
+    little-endian float64 bytes left in the open file `fh` straight into
+    writable native float64 arrays. Raises ValueError, before any array is
+    allocated, unless those bytes are exactly the arrays' bytes."""
+    shapes = _param_shapes(config)
+    # math.prod: a header can claim shapes whose np.prod overflows int64
+    want = 8 * sum(math.prod(shape) for shape in shapes.values())
+    have = os.fstat(fh.fileno()).st_size - fh.tell()
+    if have != want:
+        raise ValueError(f"payload is {have} bytes, the config's arrays need {want}")
     arrays = {}
-    for name, shape in _param_shapes(config).items():
+    for name, shape in shapes.items():
         a = np.empty(shape, dtype="<f8")
         n = fh.readinto(a)
         if n != a.nbytes:
             raise ValueError(f"payload is {a.nbytes - n} bytes short in {name}")
         arrays[name] = a.astype(np.float64, copy=False)
-    if fh.read(1):
-        raise ValueError("bytes after the last array")
     return arrays
 
 
@@ -531,61 +535,42 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str) -> tuple[SeparatorParams, SeparatorConfig, dict]:
-    """Read a version-1, -2 or -3 checkpoint.
+    """Read a version-3 checkpoint: its first line is the JSON header, and the
+    arrays' bytes follow it, read by `_read_arrays`.
 
-    The first line tells them apart. A version-1 or -2 file is that one line,
-    a JSON object holding its arrays as nested lists (v1) or as shape and
-    base64 of the float64 bytes (v2); a version-3 file's first line is its
-    JSON header, and the arrays' bytes follow it. All go through one byte
-    reader, `_read_arrays`. Raises DataFormatError (exit 3) unless the first
-    line is a JSON object of a known version, the config is valid, the shapes
-    match it, every v1 weight is a JSON number (not a string or a boolean), and
-    the bytes (per array in v2) fill them exactly and are finite.
+    Raises DataFormatError (exit 3) unless the header is a JSON object with
+    format_version 3, the config is valid, the header's shapes are those the
+    config implies, the bytes after the header are exactly those shapes' 8
+    bytes per weight (checked against the file's size before any array is
+    allocated) and every weight is finite.
     """
     from .errors import DataFormatError
 
     with open(path, "rb") as fh:
         try:
-            payload = json.loads(fh.readline())
+            header = json.loads(fh.readline())
         except ValueError as exc:
             raise DataFormatError(f"checkpoint {path} is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
+        if not isinstance(header, dict):
             raise DataFormatError(f"checkpoint {path} is not a JSON object")
-        version = payload.get("format_version")
-        # true == 1 and 2.0 == 2 in Python, but neither is a version number
-        if type(version) is not int or version not in (1, 2, CHECKPOINT_VERSION):
+        version = header.get("format_version")
+        # true == 1 and 3.0 == 3 in Python, but neither is a version number
+        if type(version) is not int or version != CHECKPOINT_VERSION:
             raise DataFormatError(f"checkpoint {path}: unsupported format_version {version!r}")
         try:
-            config = SeparatorConfig(**payload["config"])
-            fc = payload["fc"]
-            entries = {"kernels": payload["kernels"]}
+            config = SeparatorConfig(**header["config"])
+            fc = header["fc"]
+            entries = {"kernels": header["kernels"]}
             if fc is not None:
                 entries.update(fc_w=fc["weights"], fc_b=fc["biases"])
-            if version != CHECKPOINT_VERSION and fh.read().strip():
-                raise ValueError("data after the JSON object")
-            if version == 1:  # nested lists, whose nesting gives the shapes
-                lists = entries
-                entries = {name: np.asarray(e, dtype="<f8") for name, e in entries.items()}
-                # asarray also takes "0.98" and true; a weight must be a JSON number
-                leaves = (x for e in lists.values() for x in np.asarray(e, dtype=object).flat)
-                if not all(type(x) in (int, float) for x in leaves):
-                    raise ValueError("a version-1 weight is not a JSON number")
-                raw = [a.tobytes() for a in entries.values()]
-            shapes = [e.shape if version == 1 else tuple(e["shape"]) for e in entries.values()]
-            _check_shapes(dict(zip(entries, shapes)), config)
-            if version == 2:
-                raw = [base64.b64decode(e["f8"], validate=True) for e in entries.values()]
-                # per array: a right total alone lets bytes shift between arrays
-                if [len(data) for data in raw] != [8 * int(np.prod(s)) for s in shapes]:
-                    raise ValueError("an array's bytes do not fill its float64 shape")
-            stream = fh if version == CHECKPOINT_VERSION else io.BytesIO(b"".join(raw))
-            arrays = _read_arrays(stream, config)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            _check_shapes({name: tuple(e["shape"]) for name, e in entries.items()}, config)
+            arrays = _read_arrays(fh, config)
+        except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"checkpoint {path} is malformed: {exc}") from exc
     params = SeparatorParams(**arrays)
     if not all(np.isfinite(a).all() for a in params.arrays()):
         raise DataFormatError(f"checkpoint {path}: non-finite weights")
-    return params, config, payload.get("training_meta", {})
+    return params, config, header.get("training_meta", {})
 
 
 def export_kernels_csv(path: str, params: SeparatorParams) -> None:

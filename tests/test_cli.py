@@ -11,10 +11,9 @@ import pytest
 
 from qsep import cli, states, training
 from qsep.cli import main, usable_cpus
-from qsep.separator import SeparatorConfig, load_checkpoint, save_checkpoint
+from qsep.separator import SeparatorConfig, init_params, load_checkpoint, save_checkpoint
 from qsep.training import TrainConfig, build_dataset, load_qsd
-from checkpoints import (OLD_CHECKPOINTS, OLD_TAMPERS, V1_LEAF_TAMPERS, V3_TAMPERS,
-                         encode_array, old_checkpoint, tampered_old, tampered_v3, v2_payload)
+from checkpoints import V3_TAMPERS, join_v3, split_v3, tampered_v3
 
 
 def run(*argv):
@@ -378,32 +377,6 @@ class TestEval:
         assert f"argument {flag}: must be >= 1, got 0" in err and "Traceback" not in err
         assert not os.path.exists(prefix + ".sweep.csv")
 
-    @pytest.mark.parametrize("tamper", ["fc_vs_use_fc", "fc_shape", "nan_kernel", "n_k_float",
-                                        "fc_depth_float", "use_fc_string"])
-    def test_invalid_checkpoint_exit_3(self, workdir, ckpt, mixed_qsd, tamper, capsys):
-        # version 2, of the trained weights
-        params, cfg, meta = load_checkpoint(ckpt)
-        payload = v2_payload(params, cfg, meta)
-        config_types = {"n_k_float": ("n_k", 6.0), "fc_depth_float": ("fc_depth", 4.0),
-                        "use_fc_string": ("use_fc", "no")}
-        if tamper in config_types:
-            setting, value = config_types[tamper]
-            payload["config"][setting] = value
-        elif tamper == "fc_vs_use_fc":
-            payload["config"]["use_fc"] = False
-        elif tamper == "fc_shape":
-            payload["fc"]["weights"] = encode_array(params.fc_w[..., :-1])
-        else:
-            params.kernels[0, 0, 0, 0, 0] = float("nan")
-            payload["kernels"] = encode_array(params.kernels)
-        bad = str(workdir / f"bad_{tamper}.json")
-        Path(bad).write_text(json.dumps(payload))
-        prefix = str(workdir / f"evbad_{tamper}")
-        assert run("eval", "--ckpt", bad, "--data", mixed_qsd, "--out-prefix", prefix) == 3
-        err = capsys.readouterr().err
-        assert "checkpoint" in err and "Traceback" not in err
-        assert not os.path.exists(prefix + ".means.csv")
-
     @pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
     def test_tau_not_finite_exit_2(self, workdir, mixed_qsd, tau, capsys):
         prefix = str(workdir / "evtau")
@@ -478,9 +451,25 @@ class TestKernelsCmd:
         # tied model: 1 path x 6 channels x 2 parts x 4 rows
         assert len(lines) == 1 + 1 * 6 * 2 * 4
 
+    def test_export_untied(self, tmp_path):
+        cfg = SeparatorConfig(n_k=3, fc_depth=2, tie_weights=False, activation="tanh")
+        params = init_params(cfg, np.random.default_rng(37))
+        path, out = str(tmp_path / "untied.ckpt"), str(tmp_path / "kernels.csv")
+        save_checkpoint(path, params, cfg)
+        assert run("kernels", "--ckpt", path, "--out", out) == 0
+        lines = Path(out).read_text().splitlines()
+        assert lines[0] == "path,channel,part,k0,k1,k2,k3"
+        # 3 paths x 3 channels x 2 parts x 4 rows, in the kernels' own order
+        rows = [ln.split(",") for ln in lines[1:]]
+        assert [r[:3] for r in rows] == [[t, str(c), part] for t in "ABC" for c in range(3)
+                                         for part in ("re", "im") for _ in range(4)]
+        # the .17g text parses back to the saved float64 bits
+        values = np.array([[float(x) for x in r[3:]] for r in rows])
+        assert values.tobytes() == params.kernels.reshape(-1, 4).tobytes()
+
 
 class TestCheckpointFiles:
-    """Every checkpoint-reading command on old and malformed checkpoints."""
+    """Every checkpoint-reading command on malformed and old-version checkpoints."""
 
     @staticmethod
     def argv(command, ckpt, out, mixed_qsd):
@@ -489,23 +478,6 @@ class TestCheckpointFiles:
             "map": ["--ckpt", ckpt, "--grid", "11", "--out-prefix", out],
             "kernels": ["--ckpt", ckpt, "--out", out],
         }[command]
-
-    @pytest.mark.parametrize("name", sorted(OLD_CHECKPOINTS))
-    def test_old_versions_give_the_same_outputs(self, tmp_path, mixed_qsd, name):
-        # versions 1 and 2 of the same weights, and those weights resaved as version 3
-        resaved = str(tmp_path / "v3.ckpt")
-        save_checkpoint(resaved, *load_checkpoint(str(old_checkpoint(name, 2))))
-        paths = [str(old_checkpoint(name, 1)), str(old_checkpoint(name, 2)), resaved]
-        for command, suffixes in (("eval", [".sweep.csv", ".means.csv"]),
-                                  ("map", [".model.csv", ".model.pgm"]), ("kernels", [""])):
-            outputs = []
-            for i, path in enumerate(paths):
-                out = str(tmp_path / f"{command}{i}")
-                assert run(command, *self.argv(command, path, out, mixed_qsd)) == 0
-                # the header line names the checkpoint's digest, which differs per file
-                outputs.append([[ln for ln in Path(out + sfx).read_text().splitlines()
-                                 if "checkpoint=" not in ln] for sfx in suffixes])
-            assert outputs[0] == outputs[1] == outputs[2]
 
     @pytest.mark.parametrize("tamper", V3_TAMPERS)
     @pytest.mark.parametrize("command", ["eval", "map", "kernels"])
@@ -518,16 +490,20 @@ class TestCheckpointFiles:
         assert "checkpoint" in err and "Traceback" not in err
         assert sorted(os.listdir(tmp_path)) == sorted(["bad.ckpt", f"ok_{tamper}.ckpt"])
 
-    @pytest.mark.parametrize("tamper", OLD_TAMPERS + list(V1_LEAF_TAMPERS))
+    @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize("command", ["eval", "map", "kernels"])
-    def test_malformed_old_exit_3(self, tmp_path, mixed_qsd, command, tamper, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text(tampered_old(tamper))
+    def test_old_version_exit_3(self, tmp_path, mixed_qsd, command, version, capsys):
+        cfg = SeparatorConfig(n_k=2, fc_depth=2)
+        path = tmp_path / "old.ckpt"
+        save_checkpoint(str(path), init_params(cfg, np.random.default_rng(38)), cfg)
+        header, payload = split_v3(path.read_bytes())
+        header["format_version"] = version
+        path.write_bytes(join_v3(header, payload))
         out = str(tmp_path / "out")
-        assert run(command, *self.argv(command, str(bad), out, mixed_qsd)) == 3
+        assert run(command, *self.argv(command, str(path), out, mixed_qsd)) == 3
         err = capsys.readouterr().err
-        assert "checkpoint" in err and "Traceback" not in err
-        assert os.listdir(tmp_path) == ["bad.json"]
+        assert f"unsupported format_version {version}" in err and "Traceback" not in err
+        assert os.listdir(tmp_path) == ["old.ckpt"]
 
 
 class TestVerifyCmd:
